@@ -2,17 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race check cover bench bench-preflight bench-diff bench-smoke bench-all quick full taxonomy examples serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
+.PHONY: all build vet lint test race check cover bench bench-preflight bench-diff bench-smoke bench-module bench-all quick full taxonomy examples serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
 
 all: build vet test
 
 # The full pre-commit gate: compile, static checks, lint, tests, race
 # detector, a one-iteration pass over the hot-path benchmarks (so they
-# cannot rot), the committed-capture regression diff, the carbond
+# cannot rot), the repo benchmark's own smoke test, the
+# committed-capture regression diff, the carbond
 # crash-recovery smoke test, the carbonstat
 # analyzer self-check, the fault-injection chaos gate, the span tracing
 # gate, the cluster router gate, and the observability-plane gate.
-check: build vet lint test race bench-smoke bench-diff serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke
+check: build vet lint test race bench-smoke bench-module bench-diff serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -52,12 +53,7 @@ cover:
 # against EvalTree500x30 and EvalTreeWith500x30). BENCH_pr9.json adds
 # StepWithSubscribers: a generation with the live-event ring and four
 # SSE-style subscribers attached must stay within 2% of EngineStep.
-# BENCH_pr10.json adds EngineStepSurrogate: the surrogate-assisted
-# engine on the same config as EngineStep — its lp_solves/gen metric
-# must come in below EngineStep's (the whole point of the skip policy);
-# it rides the same pinned -benchtime=150x core line because the
-# 'EngineStep' pattern already matches it. Compare captures with
-# `make bench-diff`.
+# Compare captures with `make bench-diff`.
 #
 # The engine-step benchmarks step ONE engine b.N times and GP trees grow
 # across generations, so their ns/op depends on the iteration count the
@@ -90,6 +86,12 @@ bench-diff:
 bench-smoke: bench-preflight
 	$(GO) test -run XXX -bench 'EvalTree|EvalProgram|Prepare|EngineStep|Rotating|StepWithSearchStats|StepWithSpans|StepWithSubscribers|RouteSubmit' -benchtime=1x -benchmem \
 		./internal/bcpop/ ./internal/core/ ./internal/serve/ ./internal/cluster/ | $(GO) run carbon/cmd/benchjson >/dev/null
+
+# The repo benchmark (benchmark/, its own module) has a smoke test that
+# the root `go test ./...` does not reach; run it so a core API change
+# cannot silently break the benchmark build.
+bench-module:
+	$(GO) -C benchmark test ./...
 
 # Analyzer self-check: synthetic healthy/pathological traces through the
 # whole carbonstat pipeline (parse, demux, summarize, flag, diff).

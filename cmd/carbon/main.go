@@ -6,7 +6,7 @@
 //
 //	carbon [-n 100] [-m 5] [-runsidx 0] [-seed 1] [-pop 100]
 //	       [-ulevals 50000] [-llevals 50000] [-sample 4] [-workers 0]
-//	       [-surrogate] [-exact] [-curves]
+//	       [-curves]
 //
 // Observability (all optional, none perturbs the seeded result):
 //
@@ -45,13 +45,7 @@ func main() {
 		sample  = flag.Int("sample", 4, "prey sampled per predator evaluation")
 		workers = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 
-		interpret = flag.Bool("interpret", false, "use the tree-walking GP interpreter instead of compiled bytecode (golden reference; bit-identical, slower)")
-		curves    = flag.Bool("curves", false, "print convergence curves as CSV")
-
-		surrogate  = flag.Bool("surrogate", false, "skip LP solves for low-ranked prey using an online surrogate (DESIGN.md §5l; deterministic, approximate)")
-		exact      = flag.Bool("exact", false, "force exact LP evaluation for every genotype (overrides -surrogate; the golden path)")
-		surrTopK   = flag.Int("surrogate-topk", 0, "prey ranks solved exactly per generation (0 = pop/4)")
-		surrWarmup = flag.Int("surrogate-warmup", 0, "generations of exact evaluation before skipping starts (0 = default 5)")
+		curves = flag.Bool("curves", false, "print convergence curves as CSV")
 
 		customers = flag.Int("customers", 1, "rational customers (>1 = multi-customer extension)")
 		variation = flag.Float64("variation", 0.25, "per-customer requirement variation (multi-customer)")
@@ -82,10 +76,6 @@ func main() {
 	cfg.ULEvalBudget, cfg.LLEvalBudget = *ulEvals, *llEvals
 	cfg.PreySample = *sample
 	cfg.Workers = *workers
-	cfg.Interpret = *interpret
-	cfg.Surrogate.Enabled = *surrogate && !*exact
-	cfg.Surrogate.TopK = *surrTopK
-	cfg.Surrogate.Warmup = *surrWarmup
 
 	// Telemetry wiring: everything here is read-only with respect to
 	// the run, so the seeded result is identical with or without it.

@@ -72,7 +72,6 @@ func main() {
 		faultS   = flag.String("fault", "", "fault-injection spec for chaos drills, e.g. \"lp.solve:every=1,after=30,limit=8\"")
 		faultSd  = flag.Uint64("fault-seed", 1, "seed for probabilistic fault decisions")
 		spans    = flag.Bool("spans", true, "write per-job span traces (<id>.spans.jsonl) next to the spool")
-		exact    = flag.Bool("exact", false, "strip surrogate knobs from every submitted spec (all jobs run the exact-LP golden path)")
 		fleet    = flag.Bool("fleet", true, "serve the /v1/fleet/ peer endpoints (networked island model)")
 	)
 	flag.Parse()
@@ -100,7 +99,6 @@ func main() {
 		RetrySeed:       *faultSd,
 		Fault:           inj,
 		Spans:           *spans,
-		ForceExact:      *exact,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carbond:", err)

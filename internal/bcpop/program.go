@@ -9,8 +9,8 @@
 // sequence and the greedy runs the identical algorithm on identical
 // scores — but with zero steady-state allocations. The engine compiles
 // each predator once per generation and evaluates it against every
-// cached prey context; the interpreter remains the golden reference
-// behind core's Interpret flag.
+// cached prey context; the interpreter remains the test oracle the VM
+// is checked against.
 package bcpop
 
 import (

@@ -19,7 +19,9 @@
 // where crc32 is the IEEE checksum of the exact state bytes. Decode
 // rejects unknown schemas, checksum mismatches, trailing garbage and
 // structurally inconsistent states, so a truncated or bit-flipped spool
-// file surfaces as an error instead of a half-restored engine.
+// file surfaces as an error instead of a half-restored engine. State
+// keys it does not know are ignored, so v2 files from writers that
+// stored optional extra blocks still load.
 package checkpoint
 
 import (
@@ -31,8 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"carbon/internal/surrogate"
 )
 
 // Schema versions the snapshot format. v1 was the unversioned,
@@ -69,13 +69,6 @@ type State struct {
 	ULCurveY  []float64   `json:"ul_curve_y"`
 	GapCurveX []float64   `json:"gap_curve_x"`
 	GapCurveY []float64   `json:"gap_curve_y"`
-
-	// Surrogate is the online value model's state (nil when the run had
-	// surrogate-assisted skipping off). Additive and optional: v2
-	// envelopes without it decode fine, and core.Restore ignores it when
-	// the restoring config has the surrogate disabled — which is what
-	// lets a resume flip surrogate mode without a fingerprint change.
-	Surrogate *surrogate.State `json:"surrogate,omitempty"`
 }
 
 // envelope is the on-disk frame around a State.
@@ -126,11 +119,6 @@ func (st *State) Validate() error {
 	for i, t := range st.Predators {
 		if t == "" {
 			return fmt.Errorf("checkpoint: predator %d is empty", i)
-		}
-	}
-	if st.Surrogate != nil {
-		if err := st.Surrogate.Validate(); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
 		}
 	}
 	return nil

@@ -45,7 +45,6 @@ import (
 	"carbon/internal/rng"
 	"carbon/internal/span"
 	"carbon/internal/stats"
-	"carbon/internal/surrogate"
 	"carbon/internal/telemetry"
 )
 
@@ -106,14 +105,6 @@ type Config struct {
 	// NoElimination disables the greedy's redundancy-removal pass.
 	NoElimination bool
 
-	// Interpret evaluates predators with the tree-walking interpreter
-	// (gp.Tree.Eval) instead of the compiled bytecode path. The two are
-	// bit-identical (TestCompiledMatchesInterpreted), so this is a
-	// golden-reference/debugging switch, not a semantic one — it is
-	// deliberately excluded from the checkpoint fingerprint and a
-	// checkpoint taken under either mode restores under the other.
-	Interpret bool
-
 	// ULVariation selects the upper-level variation suite: "" or "sbx"
 	// for Table II's SBX + polynomial mutation, "de" for DE/best/1/bin
 	// trials (DE-based bi-level solvers appear in the paper's related
@@ -127,19 +118,6 @@ type Config struct {
 	// mutation to each bred predator with this probability (0 = off,
 	// the paper's configuration).
 	LLPointMutProb float64
-
-	// Surrogate configures surrogate-assisted LP skipping (DESIGN.md
-	// §5l): an online model of LB(x) and prey revenue fit from the
-	// solved-LP history surrogate-scores every prey, and only the
-	// sampled + predicted-top-k + high-uncertainty genotypes get exact
-	// LP solves. Disabled (the zero value) keeps the paper-faithful
-	// exact path bit-identical to the pre-surrogate engine — this is
-	// the `-exact` golden reference. Like Interpret, every Surrogate
-	// knob is deliberately excluded from the checkpoint fingerprint: a
-	// checkpoint taken under either mode restores under the other (the
-	// model state travels in the checkpoint and is ignored or rebuilt
-	// as needed).
-	Surrogate surrogate.Config
 
 	// --- Telemetry (all optional; zero-cost and determinism-neutral
 	// when unset — same seed, same result, with or without them). ---
@@ -258,7 +236,7 @@ func (c *Config) Validate() error {
 	case c.LLPointMutProb < 0 || c.LLPointMutProb > 1:
 		return errors.New("core: LLPointMutProb outside [0,1]")
 	}
-	return c.Surrogate.Validate()
+	return nil
 }
 
 // BestPair is the reported solution: the best archived pricing and the

@@ -7,7 +7,6 @@ import (
 	"carbon/internal/bcpop"
 	"carbon/internal/checkpoint"
 	"carbon/internal/gp"
-	"carbon/internal/surrogate"
 )
 
 // fingerprint identifies the configuration a snapshot belongs to; a
@@ -71,9 +70,6 @@ func (e *Engine) Snapshot() (*checkpoint.State, error) {
 	st.ULCurveY = append([]float64(nil), e.res.ULCurve.Y...)
 	st.GapCurveX = append([]float64(nil), e.res.GapCurve.X...)
 	st.GapCurveY = append([]float64(nil), e.res.GapCurve.Y...)
-	if e.surr != nil {
-		st.Surrogate = e.surr.State()
-	}
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,25 +141,6 @@ func Restore(mk *bcpop.Market, cfg Config, st *checkpoint.State) (*Engine, error
 			return nil, fmt.Errorf("core: checkpoint archive tree %d: %w", i, err)
 		}
 		e.gpArch.Add(t, st.GPArchF[i])
-	}
-	// Surrogate model state. Like Interpret, the surrogate knobs are not
-	// fingerprinted, so all four combinations restore:
-	//   - enabled→enabled: rebuild the model exactly (bit-identical resume);
-	//   - exact→enabled:   no stored state, keep the fresh model — it
-	//     re-warms itself (MinFit) before skipping starts;
-	//   - enabled→exact:   stored state ignored, the engine solves
-	//     everything exactly;
-	//   - exact→exact:     nothing to do.
-	if e.surr != nil && st.Surrogate != nil {
-		if st.Surrogate.Dim != mk.Leaders() {
-			return nil, fmt.Errorf("core: checkpoint surrogate dimension %d, market has %d leaders",
-				st.Surrogate.Dim, mk.Leaders())
-		}
-		m, err := surrogate.FromState(e.surrCfg, st.Surrogate)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint surrogate: %w", err)
-		}
-		e.surr = m
 	}
 	e.ulUsed, e.llUsed = st.ULUsed, st.LLUsed
 	e.res.Gens = st.Gens

@@ -1,92 +1,54 @@
 package core
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"carbon/internal/telemetry"
 )
 
-// TestCompiledMatchesInterpreted is the determinism golden of the
-// bytecode path: for every (Seed, Workers) pair, a full run on the
-// compiled default must be bit-identical to the same run forced onto
-// the tree-walking interpreter (cfg.Interpret). This is what licenses
-// shipping the compiled path as the default while keeping the
-// interpreter as the golden reference.
-func TestCompiledMatchesInterpreted(t *testing.T) {
-	mk := smallMarket(t)
-	for _, seed := range []uint64{3, 17} {
-		for _, workers := range []int{1, 3} {
-			cfg := smallConfig(seed)
-			cfg.Workers = workers
-
-			compiled, err := Run(mk, cfg)
-			if err != nil {
-				t.Fatalf("seed %d workers %d compiled: %v", seed, workers, err)
-			}
-			cfg.Interpret = true
-			interpreted, err := Run(mk, cfg)
-			if err != nil {
-				t.Fatalf("seed %d workers %d interpreted: %v", seed, workers, err)
-			}
-			if !reflect.DeepEqual(resultKey(compiled), resultKey(interpreted)) {
-				t.Fatalf("seed %d workers %d: compiled and interpreted runs diverge:\n%+v\nvs\n%+v",
-					seed, workers, resultKey(compiled), resultKey(interpreted))
-			}
-		}
-	}
-}
-
 // TestCacheMetricsConservationPerGeneration pins the cache accounting
-// invariants generation by generation, on both evaluation paths:
+// invariants generation by generation on the compiled engine path:
 // every LP solve is a cache miss and vice versa (the Prepare wave is
 // the only solver entry point), and every tree evaluation is a cache
 // hit (the L×S predator pairings plus the U prey evaluations all run
 // against Prepared contexts). A Prepare/Relax double-count regression
 // breaks a delta immediately instead of hiding in whole-run totals.
 func TestCacheMetricsConservationPerGeneration(t *testing.T) {
-	for _, interpret := range []bool{false, true} {
-		name := "compiled"
-		if interpret {
-			name = "interpreted"
+	t.Run("compiled", func(t *testing.T) {
+		mk := smallMarket(t)
+		cfg := smallConfig(29)
+		cfg.Workers = 2
+		reg := telemetry.NewRegistry()
+		cfg.Metrics = reg
+		e, err := NewEngine(mk, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			mk := smallMarket(t)
-			cfg := smallConfig(29)
-			cfg.Workers = 2
-			cfg.Interpret = interpret
-			reg := telemetry.NewRegistry()
-			cfg.Metrics = reg
-			e, err := NewEngine(mk, cfg)
-			if err != nil {
-				t.Fatal(err)
+		read := func(name string) int64 { return reg.Counter(name).Load() }
+		perGen := int64(cfg.LLPopSize*cfg.EffectiveSample() + cfg.ULPopSize)
+		var prevSolves, prevMisses, prevHits, prevEvals int64
+		for gen := 1; gen <= 5; gen++ {
+			if !e.Step() {
+				t.Fatal(e.Err())
 			}
-			read := func(name string) int64 { return reg.Counter(name).Load() }
-			perGen := int64(cfg.LLPopSize*cfg.EffectiveSample() + cfg.ULPopSize)
-			var prevSolves, prevMisses, prevHits, prevEvals int64
-			for gen := 1; gen <= 5; gen++ {
-				if !e.Step() {
-					t.Fatal(e.Err())
-				}
-				solves, misses := read("bcpop.lp_solves"), read("bcpop.cache_misses")
-				hits, evals := read("bcpop.cache_hits"), read("bcpop.tree_evals")
-				if dS, dM := solves-prevSolves, misses-prevMisses; dS != dM {
-					t.Fatalf("gen %d: Δlp_solves %d != Δcache_misses %d", gen, dS, dM)
-				}
-				if dH, dE := hits-prevHits, evals-prevEvals; dH != dE {
-					t.Fatalf("gen %d: Δcache_hits %d != Δtree_evals %d", gen, dH, dE)
-				}
-				if dE := evals - prevEvals; dE != perGen {
-					t.Fatalf("gen %d: Δtree_evals %d, want L·S+U = %d", gen, dE, perGen)
-				}
-				if dS := solves - prevSolves; dS < 1 || dS > int64(cfg.ULPopSize) {
-					t.Fatalf("gen %d: Δlp_solves %d outside [1, ULPopSize=%d]", gen, dS, cfg.ULPopSize)
-				}
-				prevSolves, prevMisses, prevHits, prevEvals = solves, misses, hits, evals
+			solves, misses := read("bcpop.lp_solves"), read("bcpop.cache_misses")
+			hits, evals := read("bcpop.cache_hits"), read("bcpop.tree_evals")
+			if dS, dM := solves-prevSolves, misses-prevMisses; dS != dM {
+				t.Fatalf("gen %d: Δlp_solves %d != Δcache_misses %d", gen, dS, dM)
 			}
-		})
-	}
+			if dH, dE := hits-prevHits, evals-prevEvals; dH != dE {
+				t.Fatalf("gen %d: Δcache_hits %d != Δtree_evals %d", gen, dH, dE)
+			}
+			if dE := evals - prevEvals; dE != perGen {
+				t.Fatalf("gen %d: Δtree_evals %d, want L·S+U = %d", gen, dE, perGen)
+			}
+			if dS := solves - prevSolves; dS < 1 || dS > int64(cfg.ULPopSize) {
+				t.Fatalf("gen %d: Δlp_solves %d outside [1, ULPopSize=%d]", gen, dS, cfg.ULPopSize)
+			}
+			prevSolves, prevMisses, prevHits, prevEvals = solves, misses, hits, evals
+		}
+	})
 }
 
 // TestRestoreRejectsHostileTrees covers the checkpoint decode path: a

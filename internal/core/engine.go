@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"carbon/internal/rng"
 	"carbon/internal/span"
 	"carbon/internal/stats"
-	"carbon/internal/surrogate"
 	"carbon/internal/telemetry"
 )
 
@@ -54,18 +52,12 @@ type Engine struct {
 	preySlot []int
 	missing  []int
 
-	// Surrogate-assisted LP skipping (DESIGN.md §5l). surr is nil
-	// unless Config.Surrogate.Enabled — the exact path then compiles to
-	// exactly the pre-surrogate engine (gated branches only). All the
-	// per-slot scratch is coordinator-owned: the skip plan is frozen
-	// before the relax wave starts, and the wave closures only read it.
-	surr     *surrogate.Model
-	surrCfg  surrogate.Config // resolved knobs; meaningful iff surr != nil
-	slotSkip []bool           // per slot: surrogate-scored, no LP this gen
-	slotPred []float64        // per slot: predicted revenue
-	slotUnc  []float64        // per slot: model leverage (uncertainty)
-	slotRank []int            // sort scratch for the skip plan
-	exactIdx []int            // relax worklist under skipping (first-occurrence prey indices)
+	// The generation's prey sample (the prey every predator is scored
+	// against) and its compiled hunter (the best predator, which scores
+	// every prey). Set by Step on the coordinator; the waves only read
+	// them.
+	sample []int
+	hunter *gp.Program
 
 	ulArch *archive.Archive[[]float64]
 	gpArch *archive.Archive[gp.Tree]
@@ -85,6 +77,13 @@ type Engine struct {
 	spans       *span.Tracer
 	spanParent  span.Context
 	spanLPEvery int
+
+	// Per-generation observation state, reset by beginGen. observing is
+	// the one switch every wave consults; genSpan and waveSpan are nil
+	// when tracing is off; the nanos feed GenStats.
+	observing             bool
+	genSpan, waveSpan     *span.Span
+	evalNanos, breedNanos int64
 
 	// Failure state. An evaluation that fails mid-wave no longer kills
 	// the run: the affected individual is quarantined for the
@@ -129,34 +128,48 @@ type Engine struct {
 // come from one telemetry.Registry, so islands sharing a registry
 // aggregate into the same counters.
 type engineMetrics struct {
-	gens      *telemetry.Counter
-	ulEvals   *telemetry.Counter
-	llEvals   *telemetry.Counter
-	surrSkips *telemetry.Counter
-	surrExact *telemetry.Counter
-	relax     *telemetry.Timer
-	predEval  *telemetry.Timer
-	preyEval  *telemetry.Timer
-	breed     *telemetry.Timer
-	wave      *par.WaveMetrics
+	gens    *telemetry.Counter
+	ulEvals *telemetry.Counter
+	llEvals *telemetry.Counter
+	waves   [numWaves]*telemetry.Timer
+	par     *par.WaveMetrics
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	if reg == nil {
 		return nil
 	}
-	return &engineMetrics{
-		gens:      reg.Counter("core.generations"),
-		ulEvals:   reg.Counter("core.ul_evals"),
-		llEvals:   reg.Counter("core.ll_evals"),
-		surrSkips: reg.Counter("core.surrogate_skips"),
-		surrExact: reg.Counter("core.surrogate_exact_solves"),
-		relax:     reg.Timer("core.relax_precompute"),
-		predEval:  reg.Timer("core.predator_eval"),
-		preyEval:  reg.Timer("core.prey_eval"),
-		breed:     reg.Timer("core.breed"),
-		wave:      par.NewWaveMetrics(reg, "par.eval"),
+	m := &engineMetrics{
+		gens:    reg.Counter("core.generations"),
+		ulEvals: reg.Counter("core.ul_evals"),
+		llEvals: reg.Counter("core.ll_evals"),
+		par:     par.NewWaveMetrics(reg, "par.eval"),
 	}
+	for w, info := range waves {
+		m.waves[w] = reg.Timer(info.timer)
+	}
+	return m
+}
+
+// waveKind names one of the four waves of a generation.
+type waveKind int
+
+const (
+	waveRelax waveKind = iota
+	wavePredEval
+	wavePreyEval
+	waveBreed
+	numWaves
+)
+
+// waves is the one phase vocabulary shared by pprof labels, spans and
+// telemetry timers: each wave's label/span name, the span attribute
+// carrying its size (none for breed) and its timer.
+var waves = [numWaves]struct{ name, attr, timer string }{
+	waveRelax:    {"relax", "solves", "core.relax_precompute"},
+	wavePredEval: {"pred_eval", "pairings", "core.predator_eval"},
+	wavePreyEval: {"prey_eval", "prey", "core.prey_eval"},
+	waveBreed:    {"breed", "", "core.breed"},
 }
 
 // NewEngine validates the configuration and initializes populations,
@@ -227,10 +240,6 @@ func NewEngine(mk *bcpop.Market, cfg Config) (*Engine, error) {
 	e.ulArch = archive.New[[]float64](cfg.ULArchiveSize, false, priceKey)
 	e.gpArch = archive.New[gp.Tree](cfg.LLArchiveSize, true,
 		func(t gp.Tree) string { return t.String(set) })
-	if cfg.Surrogate.Enabled {
-		e.surrCfg = cfg.Surrogate.Resolved(cfg.ULPopSize, mk.Leaders())
-		e.surr = surrogate.New(mk.Leaders(), e.surrCfg)
-	}
 	return e, nil
 }
 
@@ -310,409 +319,50 @@ func (e *Engine) Step() bool {
 	for _, ev := range e.evs {
 		ev.ResetWarm()
 	}
-	cfg := e.cfg
-	// Predators are evaluated compiled by default: each is lowered to
-	// bytecode once per generation (per worker stripe) and swept across
-	// the cached prey contexts with that worker's reused VM and greedy
-	// scratch — zero allocations in steady state, results bit-identical
-	// to the interpreter (cfg.Interpret keeps the tree walker available
-	// as the golden reference).
-	compiled := !cfg.Interpret
-	spansOn := e.spans != nil
-	observing := e.obs != nil || e.met != nil || spansOn
-	statsOn := e.obs != nil
-	if statsOn && e.led == nil {
-		e.initLineage()
-	}
-	var wave *par.WaveMetrics
-	if e.met != nil {
-		wave = e.met.wave
-	}
-	// The gen span covers the whole Step (deferred End, so terminal
-	// failure paths close it too); each wave gets a child span ended at
-	// its barrier. All of it rides the observer switch: an untraced
-	// engine pays one nil check.
-	var genSpan *span.Span
-	if spansOn {
-		genSpan = e.spans.Start(e.spanParent, "gen").Kind(span.KindCompute).
-			Attr("gen", e.res.Gens+1).Attr("island", e.island)
-		defer genSpan.End()
-	}
-	var evalNanos, breedNanos int64
-	var t0 time.Time
-	if observing {
-		t0 = time.Now()
-	}
+	e.beginGen()
+	defer e.genSpan.End()
+	gen := e.res.Gens + 1
 
 	// --- Relaxation precompute: one LP solve per distinct prey ---
 	// Every quantity the pairings below need from the LP (LB, duals, x̄)
 	// depends only on the prey, so the |sample| predator pairings and
 	// the prey wave share one Prepared context per distinct genotype.
-	// Slots are assigned in prey-index order and the fill wave is
-	// striped contiguously, so each worker warm-chains a deterministic
-	// subsequence of the missing genotypes: for a fixed (Seed, Workers)
-	// the wave reproduces bit-for-bit (see
-	// TestRunReproduciblePerWorkerCount).
-	sample := e.r.SampleDistinct(cfg.EffectiveSample(), len(e.prey))
-	e.cache.Reset()
-	missing := e.missing[:0]
-	for i, x := range e.prey {
-		slot, fresh := e.cache.Slot(x)
-		e.preySlot[i] = slot
-		if fresh {
-			missing = append(missing, i)
-		}
-	}
-	e.missing = missing
-	// Surrogate skip plan (DESIGN.md §5l): once the model is warmed up
-	// and trusted, only the sampled + predicted-top-k + high-uncertainty
-	// genotypes get exact LP solves; the rest are surrogate-scored. The
-	// plan is frozen here, on the coordinator, from model state that
-	// predates this generation — the exact subset is a deterministic
-	// rule over frozen scores, and the scoring consumes zero RNG, so
-	// determinism per (Seed, Workers) is untouched. With the surrogate
-	// disabled, skipping is false and relaxList is exactly missing: the
-	// paper-faithful path, bit-identical to the pre-surrogate engine.
-	skipping := e.planSurrogate(sample)
-	relaxList := missing
-	if skipping {
-		ex := e.exactIdx[:0]
-		for s, skip := range e.slotSkip {
-			if !skip {
-				ex = append(ex, missing[s])
-			}
-		}
-		e.exactIdx = ex
-		relaxList = ex
-	}
-	// A failed solve quarantines its slot (slotErr) instead of aborting
-	// the wave: the slot's Prepared stays nil, and every prey sharing it
-	// is quarantined for this generation. Writes are per-slot disjoint.
-	slotErr := e.slotErr[:0]
-	for range e.cache.Len() {
-		slotErr = append(slotErr, nil)
-	}
-	e.slotErr = slotErr
-	var waveSpan *span.Span
-	if spansOn {
-		waveSpan = e.spans.Start(genSpan.Context(), "relax").Kind(span.KindCompute).
-			Attr("solves", len(relaxList))
-	}
-	relaxCtx := waveSpan.Context()
-	lpEvery := e.spanLPEvery
-	e.phase(observing, "relax", func() {
-		evalStriped(len(relaxList), e.workers, wave, func(i, worker int) {
-			// Sampled lp.solve child spans: every lpEvery-th distinct
-			// genotype, so the waterfall shows representative solve
-			// latencies without a span per solve. sp is nil off-sample
-			// and when tracing is off; every path below ends it.
-			var sp *span.Span
-			if spansOn && lpEvery > 0 && i%lpEvery == 0 {
-				sp = e.spans.Start(relaxCtx, "lp.solve").Kind(span.KindCompute).
-					Attr("prey", relaxList[i]).Attr("worker", worker)
-			}
-			p, err := e.evs[worker].Prepare(e.prey[relaxList[i]])
-			if err != nil {
-				sp.Attr("error", true).End()
-				slotErr[e.preySlot[relaxList[i]]] = fmt.Errorf("core: prey %d relaxation: %w", relaxList[i], err)
-				return
-			}
-			e.cache.Fill(e.preySlot[relaxList[i]], p)
-			sp.End()
-		})
-	})
-	waveSpan.End()
-	badSlots := 0
-	var firstSlotErr error
-	for _, serr := range slotErr {
-		if serr != nil {
-			badSlots++
-			if firstSlotErr == nil {
-				firstSlotErr = serr
-			}
-		}
-	}
-	if badSlots == len(relaxList) {
-		// Not one relaxation survived: the generation has no fitness
-		// signal and continuing would evolve on noise. Terminal.
-		e.fail(fmt.Errorf("core: generation %d: every relaxation failed: %w", e.res.Gens+1, firstSlotErr))
+	e.sample = e.r.SampleDistinct(e.cfg.EffectiveSample(), len(e.prey))
+	e.assignSlots()
+	e.wave(waveRelax, len(e.missing), e.relaxWave)
+	firstSlotErr, ok := e.foldRelax(gen)
+	if !ok {
 		return false
-	}
-	// preyErr carries each prey's quarantine cause across the waves
-	// (nil = healthy so far). Relaxation failures propagate through the
-	// shared slot; the prey wave below may add evaluation failures.
-	for i := range e.prey {
-		e.preyErr[i] = slotErr[e.preySlot[i]]
-	}
-	if observing {
-		d := time.Since(t0)
-		evalNanos += int64(d)
-		if e.met != nil {
-			e.met.relax.Observe(d)
-		}
-		t0 = time.Now()
 	}
 
 	// --- Predator evaluation: mean gap over a fresh prey sample ---
-	// With stats on, the per-pairing gaps land in gapMat by pairing
-	// index: writes are disjoint, so the matrix is identical regardless
-	// of worker scheduling and can be folded sequentially afterwards.
-	var gm []float64
-	ns := len(sample)
-	if statsOn {
-		if cap(e.gapMat) < len(e.predators)*ns {
-			e.gapMat = make([]float64, len(e.predators)*ns)
-		}
-		gm = e.gapMat[:len(e.predators)*ns]
-		// Quarantined pairings leave their cell untouched, so prefill
-		// with NaN — the quantile sketch ignores NaN, keeping the gap
-		// percentiles an honest summary of the pairings that ran.
-		for i := range gm {
-			gm[i] = math.NaN()
-		}
-	}
-	// A predator is quarantined when it has no fitness this generation:
-	// either one of its pairings failed (predErr) or every sampled prey
-	// was already quarantined (pairs == 0). Healthy pairings against
-	// quarantined prey are skipped; the mean gap averages over the
-	// pairings that ran, which equals the usual mean when nothing
-	// faulted. Writes are per-index disjoint.
-	if spansOn {
-		waveSpan = e.spans.Start(genSpan.Context(), "pred_eval").Kind(span.KindCompute).
-			Attr("pairings", len(e.predators)*ns)
-	}
-	e.phase(observing, "pred_eval", func() {
-		evalStriped(len(e.predators), e.workers, wave, func(i, worker int) {
-			ev := e.evs[worker]
-			e.predErr[i] = nil
-			e.predQuar[i] = true
-			// Compile once, evaluate against every sampled context. A
-			// compile failure (a hostile injected tree, say) quarantines
-			// the predator exactly like an evaluation failure would.
-			var prog *gp.Program
-			if compiled {
-				var cerr error
-				prog, cerr = ev.CompileTree(e.predators[i])
-				if cerr != nil {
-					e.predErr[i] = fmt.Errorf("core: predator %d compile: %w", i, cerr)
-					return
-				}
-			}
-			total := 0.0
-			pairs := 0
-			for si, s := range sample {
-				p := e.cache.At(e.preySlot[s])
-				if p == nil {
-					continue // prey s's relaxation faulted this generation
-				}
-				var out bcpop.Result
-				var err error
-				if compiled {
-					out, _, err = ev.EvalProgramWith(p, prog)
-				} else {
-					out, _, err = ev.EvalTreeWith(p, e.predators[i])
-				}
-				if err != nil {
-					e.predErr[i] = fmt.Errorf("core: predator %d evaluation: %w", i, err)
-					return
-				}
-				if gm != nil {
-					gm[i*ns+si] = out.GapPct
-				}
-				if cfg.CostFitness {
-					total += out.LLCost // ablation: COBRA-style objective
-				} else {
-					total += out.GapPct // paper: Eq. 1
-				}
-				pairs++
-			}
-			if pairs == 0 {
-				return
-			}
-			e.predQuar[i] = false
-			e.predFit[i] = total / float64(pairs)
-		})
-	})
-	waveSpan.End()
-	quarPred := 0
-	var firstPredErr error
-	for i := range e.predators {
-		if e.predQuar[i] {
-			quarPred++
-			if firstPredErr == nil && e.predErr[i] != nil {
-				firstPredErr = e.predErr[i]
-			}
-		}
-	}
-	if quarPred == len(e.predators) {
-		if firstPredErr == nil {
-			firstPredErr = firstSlotErr
-		}
-		e.fail(fmt.Errorf("core: generation %d: every predator evaluation failed: %w", e.res.Gens+1, firstPredErr))
+	gm := e.gapMatrix()
+	e.wave(wavePredEval, len(e.predators)*len(e.sample), func() { e.predatorWave(gm) })
+	quarPred, ok := e.foldPredators(gen, firstSlotErr)
+	if !ok {
 		return false
 	}
-	if quarPred > 0 {
-		// Worst-known fitness (predators minimize mean gap) keeps the
-		// quarantined out of selection without skewing anyone else. The
-		// substitution itself draws no RNG, so faulted runs replay
-		// deterministically per (Seed, Workers, fault pattern).
-		worst := math.Inf(-1)
-		for i := range e.predators {
-			if !e.predQuar[i] && e.predFit[i] > worst {
-				worst = e.predFit[i]
-			}
-		}
-		for i := range e.predators {
-			if e.predQuar[i] {
-				e.predFit[i] = worst
-			}
-		}
-	}
-	e.llUsed += len(e.predators) * len(sample)
-	if observing {
-		d := time.Since(t0)
-		evalNanos += int64(d)
-		if e.met != nil {
-			e.met.predEval.Observe(d)
-		}
-	}
-
-	// Best forecast and archive additions consider only predators that
-	// actually earned a fitness this generation — a quarantined predator
-	// can neither hunt nor enter the archive on its assigned worst value.
-	bestPred := -1
-	for i := range e.predators {
-		if e.predQuar[i] {
-			continue
-		}
-		if bestPred < 0 || e.predFit[i] < e.predFit[bestPred] {
-			bestPred = i
-		}
-	}
-	gpAdds := 0
-	for i, t := range e.predators {
-		if e.predQuar[i] {
-			continue
-		}
-		if e.gpArch.Add(t.Clone(), e.predFit[i]) {
-			gpAdds++
-		}
-	}
+	e.llUsed += len(e.predators) * len(e.sample)
+	bestPred, gpAdds := e.archivePredators()
 
 	// --- Prey evaluation: revenue under the best current forecast ---
-	if observing {
-		t0 = time.Now()
+	// One hunter scores every prey, so it is compiled once and shared
+	// read-only across workers (each runs it on its own VM). It was just
+	// compiled and evaluated in the predator wave, so a compile failure
+	// here is impossible short of memory corruption — terminal.
+	hunter, err := gp.Compile(e.set, e.predators[bestPred])
+	if err != nil {
+		e.fail(fmt.Errorf("core: generation %d: hunter compile: %w", gen, err))
+		return false
 	}
-	hunter := e.predators[bestPred]
-	// One hunter scores every prey, so compile it once and share the
-	// immutable program read-only across workers (each worker executes
-	// it on its own VM). The hunter was just compiled and evaluated in
-	// the predator wave, so a compile failure here is impossible short
-	// of memory corruption — treat it as terminal.
-	var hunterProg *gp.Program
-	if compiled {
-		hp, cerr := gp.Compile(e.set, hunter)
-		if cerr != nil {
-			e.fail(fmt.Errorf("core: generation %d: hunter compile: %w", e.res.Gens+1, cerr))
-			return false
-		}
-		hunterProg = hp
-	}
-	if spansOn {
-		waveSpan = e.spans.Start(genSpan.Context(), "prey_eval").Kind(span.KindCompute).
-			Attr("prey", len(e.prey))
-	}
-	e.phase(observing, "prey_eval", func() {
-		evalStriped(len(e.prey), e.workers, wave, func(i, worker int) {
-			if e.preyErr[i] != nil {
-				return // relaxation already quarantined this prey
-			}
-			if skipping && e.slotSkip[e.preySlot[i]] {
-				// Surrogate-scored prey: no Prepared context exists, so
-				// the predicted revenue stands in as selection fitness
-				// (floored at 0, the engine's revenue floor). The NaN
-				// gap keeps the skipped pairing out of the gap stats,
-				// and the archive pass below refuses surrogate scores —
-				// only exactly-evaluated prey can enter the archive.
-				rev := e.slotPred[e.preySlot[i]]
-				if rev < 0 {
-					rev = 0
-				}
-				e.preyFit[i] = rev
-				e.preyGap[i] = math.NaN()
-				return
-			}
-			var out bcpop.Result
-			var err error
-			if compiled {
-				out, _, err = e.evs[worker].EvalProgramWith(e.cache.At(e.preySlot[i]), hunterProg)
-			} else {
-				out, _, err = e.evs[worker].EvalTreeWith(e.cache.At(e.preySlot[i]), hunter)
-			}
-			if err != nil {
-				e.preyErr[i] = fmt.Errorf("core: prey %d evaluation: %w", i, err)
-				return
-			}
-			if out.Feasible {
-				e.preyFit[i] = out.Revenue
-			} else {
-				e.preyFit[i] = 0
-			}
-			e.preyGap[i] = out.GapPct
-		})
-	})
-	waveSpan.End()
-	quarPrey := 0
-	var firstPreyErr error
-	for i := range e.prey {
-		if e.preyErr[i] == nil {
-			continue
-		}
-		quarPrey++
-		if firstPreyErr == nil {
-			firstPreyErr = e.preyErr[i]
-		}
-		// Worst-known fitness: revenue is maximized and never negative,
-		// so 0 is the floor (shared with infeasible follower answers).
-		// NaN gap keeps the quarantined pairing out of the gap stats.
-		e.preyFit[i] = 0
-		e.preyGap[i] = math.NaN()
-	}
-	if quarPrey == len(e.prey) {
-		e.fail(fmt.Errorf("core: generation %d: every prey evaluation failed: %w", e.res.Gens+1, firstPreyErr))
+	e.hunter = hunter
+	e.wave(wavePreyEval, len(e.prey), e.preyWave)
+	quarPrey, ok := e.foldPrey(gen)
+	if !ok {
 		return false
 	}
 	e.ulUsed += len(e.prey)
-	if observing {
-		d := time.Since(t0)
-		evalNanos += int64(d)
-		if e.met != nil {
-			e.met.preyEval.Observe(d)
-		}
-	}
-
-	ulAdds := 0
-	for i, x := range e.prey {
-		if e.preyErr[i] != nil {
-			continue // quarantined: no archive entry on a made-up fitness
-		}
-		if skipping && e.slotSkip[e.preySlot[i]] {
-			continue // surrogate-scored: no archive entry on a predicted fitness
-		}
-		if e.ulArch.Add(append([]float64(nil), x...), e.preyFit[i]) {
-			ulAdds++
-		}
-	}
-
-	// --- Surrogate residual feedback ---
-	// Every exactly-evaluated genotype becomes a training observation:
-	// LB from its Prepared relaxation, revenue from the prey wave. Runs
-	// sequentially on the coordinator in slot order, so the model state
-	// entering the next generation's skip plan is deterministic.
-	var surrStats *SurrStats
-	if e.surr != nil {
-		surrStats = e.feedSurrogate(skipping)
-	}
+	ulAdds := e.archivePrey()
 
 	// --- Fault accounting for the generation ---
 	if genFaults := quarPred + quarPrey; genFaults > 0 {
@@ -739,25 +389,245 @@ func (e *Engine) Step() bool {
 	// the evaluated populations; consumes no RNG and re-uses the
 	// generation's own evaluation results.
 	var search *SearchStats
-	if statsOn {
+	if e.obs != nil {
 		search = e.computeSearchStats(gm, ulAdds, gpAdds)
 	}
 
 	// --- Breed next generations ---
-	if observing {
-		t0 = time.Now()
+	e.wave(waveBreed, 0, e.breed)
+	if e.met != nil {
+		e.met.gens.Inc()
+		e.met.ulEvals.Add(int64(e.cfg.ULPopSize))
+		e.met.llEvals.Add(int64(e.cfg.LLPopSize * len(e.sample)))
 	}
-	if spansOn {
-		waveSpan = e.spans.Start(genSpan.Context(), "breed").Kind(span.KindCompute)
+	if e.obs != nil {
+		e.obs.OnGeneration(e.genStats(search))
 	}
-	var newPrey [][]float64
-	var newPred []gp.Tree
-	var preyOr, predOr []origin
-	e.phase(observing, "breed", func() {
-		newPrey, preyOr = breedPrey(e.r, e.prey, e.preyFit, e.bounds, cfg)
-		newPred, predOr = breedPredators(e.r, e.set, e.predators, e.predFit, cfg)
+	return true
+}
+
+// beginGen resets the per-generation observation state. An engine
+// with no observer, registry or tracer attached is unobserved: its
+// waves then make no clock reads, label calls or allocations. The gen
+// span covers the whole Step (Step defers its End, so terminal failure
+// paths close it too); each wave opens a child under it. It is
+// announced, so a process killed mid-generation leaves it open in the
+// span file instead of orphaning the waves that already ended.
+func (e *Engine) beginGen() {
+	e.observing = e.obs != nil || e.met != nil || e.spans != nil
+	e.evalNanos, e.breedNanos = 0, 0
+	e.genSpan = nil
+	if e.spans != nil {
+		e.genSpan = e.spans.Start(e.spanParent, "gen").Kind(span.KindCompute).
+			Attr("gen", e.res.Gens+1).Attr("island", e.island).Announce()
+	}
+	if e.obs != nil && e.led == nil {
+		e.initLineage()
+	}
+}
+
+// wave runs one phase of the generation under every observation
+// mechanism at once: pprof labels naming the phase and island (worker
+// goroutines spawned inside fn inherit them), a child span of the gen
+// span carrying the wave's size n, the phase's telemetry timer, and the
+// GenStats eval/breed time. All four see the same interval. Unobserved
+// engines run fn bare.
+func (e *Engine) wave(w waveKind, n int, fn func()) {
+	if !e.observing {
+		fn()
+		return
+	}
+	info := waves[w]
+	e.waveSpan = nil
+	if e.spans != nil {
+		e.waveSpan = e.spans.Start(e.genSpan.Context(), info.name).Kind(span.KindCompute)
+		if info.attr != "" {
+			e.waveSpan.Attr(info.attr, n)
+		}
+		if w == waveRelax {
+			// The only wave with child spans (lp.solve): announced, like
+			// the gen span, so a process killed mid-wave leaves an open
+			// parent for the children it already wrote, not orphans.
+			e.waveSpan.Announce()
+		}
+	}
+	t0 := time.Now()
+	pprof.Do(context.Background(),
+		pprof.Labels("phase", info.name, "island", strconv.Itoa(e.island)),
+		func(context.Context) { fn() })
+	d := time.Since(t0)
+	e.waveSpan.End()
+	if w == waveBreed {
+		e.breedNanos += int64(d)
+	} else {
+		e.evalNanos += int64(d)
+	}
+	if e.met != nil {
+		e.met.waves[w].Observe(d)
+	}
+}
+
+// parMetrics is the worker-occupancy instrument of the evaluation
+// waves, nil when the engine has no registry.
+func (e *Engine) parMetrics() *par.WaveMetrics {
+	if e.met == nil {
+		return nil
+	}
+	return e.met.par
+}
+
+// assignSlots maps every prey to its relaxation cache slot. Slots are
+// assigned in prey-index order, so missing lists the first-occurrence
+// prey index of each fresh slot in slot order, and slotErr is cleared
+// to one entry per slot.
+func (e *Engine) assignSlots() {
+	e.cache.Reset()
+	e.missing = e.missing[:0]
+	for i, x := range e.prey {
+		slot, fresh := e.cache.Slot(x)
+		e.preySlot[i] = slot
+		if fresh {
+			e.missing = append(e.missing, i)
+		}
+	}
+	e.slotErr = e.slotErr[:0]
+	for range e.missing {
+		e.slotErr = append(e.slotErr, nil)
+	}
+}
+
+// relaxWave fills the cache with one LP relaxation per distinct prey.
+// The wave is striped contiguously, so each worker warm-chains a
+// deterministic subsequence of the missing genotypes: for a fixed
+// (Seed, Workers) it reproduces bit-for-bit (see
+// TestRunReproduciblePerWorkerCount). A failed solve quarantines its
+// slot (slotErr) instead of aborting the wave: the slot's Prepared
+// stays nil, and every prey sharing it is quarantined for this
+// generation. Writes are per-slot disjoint.
+func (e *Engine) relaxWave() {
+	ctx := e.waveSpan.Context()
+	evalStriped(len(e.missing), e.workers, e.parMetrics(), func(s, worker int) {
+		i := e.missing[s]
+		// Sampled lp.solve child spans: every spanLPEvery-th distinct
+		// genotype, so the waterfall shows representative solve
+		// latencies without a span per solve. sp is nil off-sample and
+		// when tracing is off; every path below ends it.
+		var sp *span.Span
+		if e.spans != nil && e.spanLPEvery > 0 && s%e.spanLPEvery == 0 {
+			sp = e.spans.Start(ctx, "lp.solve").Kind(span.KindCompute).
+				Attr("prey", i).Attr("worker", worker)
+		}
+		p, err := e.evs[worker].Prepare(e.prey[i])
+		if err != nil {
+			sp.Attr("error", true).End()
+			e.slotErr[s] = fmt.Errorf("core: prey %d relaxation: %w", i, err)
+			return
+		}
+		e.cache.Fill(s, p)
+		sp.End()
 	})
-	if statsOn {
+}
+
+// gapMatrix returns the generation's paired-evaluation %-gap matrix
+// (predator-major, one row of |sample| cells per predator), or nil when
+// no observer computes search stats. Quarantined pairings leave their
+// cell untouched, so it is prefilled with NaN — the quantile sketch
+// ignores NaN, keeping the gap percentiles an honest summary of the
+// pairings that ran.
+func (e *Engine) gapMatrix() []float64 {
+	if e.obs == nil {
+		return nil
+	}
+	n := len(e.predators) * len(e.sample)
+	if cap(e.gapMat) < n {
+		e.gapMat = make([]float64, n)
+	}
+	gm := e.gapMat[:n]
+	for i := range gm {
+		gm[i] = math.NaN()
+	}
+	return gm
+}
+
+// predatorWave scores every predator by its mean %-gap (Eq. 1; the raw
+// follower cost under CostFitness) over the sampled prey. Each
+// predator is compiled once and swept across the cached prey contexts
+// with its worker's reused VM and greedy scratch — zero allocations in
+// steady state. A predator is quarantined when it has no fitness this
+// generation: its compile or one of its pairings failed (predErr), or
+// every sampled prey was already quarantined. Pairings against
+// quarantined prey are skipped; the mean averages the pairings that
+// ran, which equals the usual mean when nothing faulted. gm (nil when
+// stats are off) receives every pairing's gap by pairing index, so it
+// is identical regardless of worker scheduling. Writes are per-index
+// disjoint.
+func (e *Engine) predatorWave(gm []float64) {
+	ns := len(e.sample)
+	evalStriped(len(e.predators), e.workers, e.parMetrics(), func(i, worker int) {
+		ev := e.evs[worker]
+		e.predErr[i] = nil
+		e.predQuar[i] = true
+		prog, err := ev.CompileTree(e.predators[i])
+		if err != nil {
+			e.predErr[i] = fmt.Errorf("core: predator %d compile: %w", i, err)
+			return
+		}
+		total := 0.0
+		pairs := 0
+		for si, s := range e.sample {
+			p := e.cache.At(e.preySlot[s])
+			if p == nil {
+				continue // prey s's relaxation faulted this generation
+			}
+			out, _, err := ev.EvalProgramWith(p, prog)
+			if err != nil {
+				e.predErr[i] = fmt.Errorf("core: predator %d evaluation: %w", i, err)
+				return
+			}
+			if gm != nil {
+				gm[i*ns+si] = out.GapPct
+			}
+			if e.cfg.CostFitness {
+				total += out.LLCost // ablation: COBRA-style objective
+			} else {
+				total += out.GapPct // paper: Eq. 1
+			}
+			pairs++
+		}
+		if pairs == 0 {
+			return
+		}
+		e.predQuar[i] = false
+		e.predFit[i] = total / float64(pairs)
+	})
+}
+
+// preyWave scores every healthy prey by its revenue under the hunter.
+func (e *Engine) preyWave() {
+	evalStriped(len(e.prey), e.workers, e.parMetrics(), func(i, worker int) {
+		if e.preyErr[i] != nil {
+			return // relaxation already quarantined this prey
+		}
+		out, _, err := e.evs[worker].EvalProgramWith(e.cache.At(e.preySlot[i]), e.hunter)
+		if err != nil {
+			e.preyErr[i] = fmt.Errorf("core: prey %d evaluation: %w", i, err)
+			return
+		}
+		if out.Feasible {
+			e.preyFit[i] = out.Revenue
+		} else {
+			e.preyFit[i] = 0
+		}
+		e.preyGap[i] = out.GapPct
+	})
+}
+
+// breed replaces both populations with their offspring, recording
+// provenance for the lineage ledger when stats are on.
+func (e *Engine) breed() {
+	newPrey, preyOr := breedPrey(e.r, e.prey, e.preyFit, e.bounds, e.cfg)
+	newPred, predOr := breedPredators(e.r, e.set, e.predators, e.predFit, e.cfg)
+	if e.obs != nil {
 		e.prevPreyFit = append(e.prevPreyFit[:0], e.preyFit...)
 		e.prevPredFit = append(e.prevPredFit[:0], e.predFit...)
 		e.led.advance(preyOr, predOr, e.res.Gens)
@@ -765,165 +635,129 @@ func (e *Engine) Step() bool {
 	}
 	e.prey = newPrey
 	e.predators = newPred
-	waveSpan.End()
-	if observing {
-		d := time.Since(t0)
-		breedNanos = int64(d)
-		if e.met != nil {
-			e.met.breed.Observe(d)
-			e.met.gens.Inc()
-			e.met.ulEvals.Add(int64(cfg.ULPopSize))
-			e.met.llEvals.Add(int64(cfg.LLPopSize * len(sample)))
-		}
-	}
-	if e.obs != nil {
-		e.obs.OnGeneration(e.genStats(evalNanos, breedNanos, search, surrStats))
-	}
-	return true
 }
 
-// planSurrogate freezes this generation's skip plan. It returns false —
-// solve everything, the pre-surrogate behavior — until the model is
-// past warmup AND has digested enough observations to rank; after that
-// it predicts every distinct genotype (in slot order, consuming no RNG)
-// and marks as exact: the slots of sampled prey (the predator wave
-// needs their Prepared contexts), the TopK slots by predicted revenue
-// (the likely winners must be exactly scored — archives never accept
-// predictions), and the Uncertain highest-leverage slots among the rest
-// (exploration keeps the model honest on new price regions). All ties
-// break by slot index, i.e. first-occurrence prey order: the exact
-// subset is a deterministic rule over frozen scores.
-func (e *Engine) planSurrogate(sample []int) bool {
-	if e.surr == nil || e.res.Gens < e.surrCfg.Warmup || !e.surr.Ready() {
-		return false
-	}
-	n := e.cache.Len()
-	if cap(e.slotSkip) < n {
-		e.slotSkip = make([]bool, n)
-		e.slotPred = make([]float64, n)
-		e.slotUnc = make([]float64, n)
-		e.slotRank = make([]int, n)
-		e.exactIdx = make([]int, 0, n)
-	}
-	skip := e.slotSkip[:n]
-	pred := e.slotPred[:n]
-	unc := e.slotUnc[:n]
-	rank := e.slotRank[:n]
-	e.slotSkip, e.slotPred, e.slotUnc, e.slotRank = skip, pred, unc, rank
-	for s := 0; s < n; s++ {
-		p := e.surr.Predict(e.prey[e.missing[s]])
-		pred[s], unc[s] = p.Rev, p.Unc
-		skip[s] = true
-		rank[s] = s
-	}
-	for _, i := range sample {
-		skip[e.preySlot[i]] = false
-	}
-	sort.Slice(rank, func(a, b int) bool {
-		if pred[rank[a]] != pred[rank[b]] {
-			return pred[rank[a]] > pred[rank[b]]
-		}
-		return rank[a] < rank[b]
-	})
-	for _, s := range rank[:min(e.surrCfg.TopK, n)] {
-		skip[s] = false
-	}
-	for s := range rank {
-		rank[s] = s
-	}
-	sort.Slice(rank, func(a, b int) bool {
-		if unc[rank[a]] != unc[rank[b]] {
-			return unc[rank[a]] > unc[rank[b]]
-		}
-		return rank[a] < rank[b]
-	})
-	picked := 0
-	for _, s := range rank {
-		if picked >= e.surrCfg.Uncertain {
-			break
-		}
-		if skip[s] {
-			skip[s] = false
-			picked++
+// firstErr counts the non-nil entries of errs and returns the first.
+func firstErr(errs []error) (n int, first error) {
+	for _, err := range errs {
+		if err != nil {
+			if n == 0 {
+				first = err
+			}
+			n++
 		}
 	}
-	return true
+	return n, first
 }
 
-// feedSurrogate runs the residual feedback pass after the prey wave and
-// returns the generation's surrogate telemetry. Observations go in slot
-// order; quarantined or unfilled slots contribute nothing. The reported
-// error is the mean relative revenue residual of the generation's
-// *pre-update* predictions — the honest out-of-sample error of exactly
-// the scores the skip plan acted on — which is what the tracestat drift
-// detector watches.
-func (e *Engine) feedSurrogate(skipping bool) *SurrStats {
-	st := &SurrStats{Active: skipping}
-	errSum, lbSum, errN := 0.0, 0.0, 0
-	for s := 0; s < e.cache.Len(); s++ {
-		if skipping && e.slotSkip[s] {
-			st.Skips++
+// foldRelax folds the relaxation wave's slot failures into preyErr,
+// which carries each prey's quarantine cause across the waves (nil =
+// healthy so far). A generation in which not one relaxation survived
+// has no fitness signal — continuing would evolve on noise — so it is
+// terminal and foldRelax reports !ok.
+func (e *Engine) foldRelax(gen int) (firstSlotErr error, ok bool) {
+	bad, first := firstErr(e.slotErr)
+	if bad == len(e.missing) {
+		e.fail(fmt.Errorf("core: generation %d: every relaxation failed: %w", gen, first))
+		return first, false
+	}
+	for i := range e.prey {
+		e.preyErr[i] = e.slotErr[e.preySlot[i]]
+	}
+	return first, true
+}
+
+// foldPredators gives every quarantined predator the worst healthy
+// fitness (predators minimize), which keeps it out of selection without
+// skewing anyone else; the substitution draws no RNG, so faulted runs
+// replay deterministically per (Seed, Workers, fault pattern). It
+// returns the number quarantined, and !ok — terminal — when that is
+// every predator.
+func (e *Engine) foldPredators(gen int, firstSlotErr error) (quar int, ok bool) {
+	worst := math.Inf(-1)
+	for i, q := range e.predQuar {
+		if q {
+			quar++
+		} else if e.predFit[i] > worst {
+			worst = e.predFit[i]
+		}
+	}
+	if quar == len(e.predators) {
+		_, first := firstErr(e.predErr)
+		if first == nil {
+			first = firstSlotErr
+		}
+		e.fail(fmt.Errorf("core: generation %d: every predator evaluation failed: %w", gen, first))
+		return quar, false
+	}
+	for i, q := range e.predQuar {
+		if q {
+			e.predFit[i] = worst
+		}
+	}
+	return quar, true
+}
+
+// foldPrey gives every quarantined prey the worst-known fitness:
+// revenue is maximized and never negative, so 0 is the floor (shared
+// with infeasible follower answers), and a NaN gap keeps the pairing
+// out of the gap stats. It returns the number quarantined, and !ok —
+// terminal — when that is every prey.
+func (e *Engine) foldPrey(gen int) (quar int, ok bool) {
+	quar, first := firstErr(e.preyErr)
+	if quar == len(e.prey) {
+		e.fail(fmt.Errorf("core: generation %d: every prey evaluation failed: %w", gen, first))
+		return quar, false
+	}
+	for i, err := range e.preyErr {
+		if err != nil {
+			e.preyFit[i] = 0
+			e.preyGap[i] = math.NaN()
+		}
+	}
+	return quar, true
+}
+
+// archivePredators offers every predator that earned a fitness this
+// generation to the GP archive and returns the best of them (the
+// hunter) and the number of archive additions. A quarantined predator
+// can neither hunt nor enter the archive on its assigned worst value.
+func (e *Engine) archivePredators() (best, adds int) {
+	best = -1
+	for i, t := range e.predators {
+		if e.predQuar[i] {
 			continue
 		}
-		st.Exact++
-		i := e.missing[s]
-		if e.preyErr[i] != nil {
-			continue // quarantined: no ground truth this generation
+		if best < 0 || e.predFit[i] < e.predFit[best] {
+			best = i
 		}
-		p := e.cache.At(s)
-		if p == nil {
-			continue
+		if e.gpArch.Add(t.Clone(), e.predFit[i]) {
+			adds++
 		}
-		rev := e.preyFit[i]
-		lb := p.Rx.LB
-		revErr, lbErr := e.surr.Observe(e.prey[i], lb, rev)
-		den := math.Abs(rev)
-		if den < 1 {
-			den = 1
-		}
-		errSum += revErr / den
-		den = math.Abs(lb)
-		if den < 1 {
-			den = 1
-		}
-		lbSum += lbErr / den
-		errN++
 	}
-	if errN > 0 {
-		st.Err = errSum / float64(errN)
-		st.ErrLB = lbSum / float64(errN)
-	}
-	if e.met != nil {
-		e.met.surrSkips.Add(int64(st.Skips))
-		e.met.surrExact.Add(int64(st.Exact))
-	}
-	return st
+	return best, adds
 }
 
-// phase runs fn under pprof labels naming the wave ("relax",
-// "pred_eval", "prey_eval", "breed") and the island, so CPU and
-// goroutine profiles attribute samples to engine phases — worker
-// goroutines spawned inside fn inherit the labels. Unobserved engines
-// skip the label plumbing entirely, keeping the hot path label-free.
-func (e *Engine) phase(observing bool, name string, fn func()) {
-	if !observing {
-		fn()
-		return
+// archivePrey offers every healthy prey to the UL archive and returns
+// the number of additions; a quarantined prey gets no archive entry on
+// a made-up fitness.
+func (e *Engine) archivePrey() (adds int) {
+	for i, x := range e.prey {
+		if e.preyErr[i] == nil && e.ulArch.Add(append([]float64(nil), x...), e.preyFit[i]) {
+			adds++
+		}
 	}
-	pprof.Do(context.Background(),
-		pprof.Labels("phase", name, "island", strconv.Itoa(e.island)),
-		func(context.Context) { fn() })
+	return adds
 }
 
 // genStats snapshots the generation that just finished. The fitness
 // arrays still describe the pre-breeding populations at this point
 // (breeding builds fresh slices and never writes the fitness arrays).
-func (e *Engine) genStats(evalNanos, breedNanos int64, search *SearchStats, surr *SurrStats) GenStats {
+func (e *Engine) genStats(search *SearchStats) GenStats {
 	gs := GenStats{
 		Label:      e.cfg.RunLabel,
 		Island:     e.island,
 		Search:     search,
-		Surr:       surr,
 		Gen:        e.res.Gens,
 		Faults:     e.Faults(),
 		ULEvals:    e.ulUsed,
@@ -932,8 +766,8 @@ func (e *Engine) genStats(evalNanos, breedNanos int64, search *SearchStats, surr
 		LLBudget:   e.cfg.LLEvalBudget,
 		ULArchive:  e.ulArch.Len(),
 		GPArchive:  e.gpArch.Len(),
-		EvalNanos:  evalNanos,
-		BreedNanos: breedNanos,
+		EvalNanos:  e.evalNanos,
+		BreedNanos: e.breedNanos,
 	}
 	if be, ok := e.ulArch.Best(); ok {
 		gs.BestRevenue = be.Fitness

@@ -16,12 +16,22 @@ func lpFaultAfter(after, limit int) func() error {
 	return fault.New(1).Site(fault.SiteLPSolve, fault.Rule{Every: 1, After: after, Limit: limit}).Strike
 }
 
+// faultConfig is smallConfig on a single worker. A fault hook counts
+// strikes across every worker's calls, so with several workers the
+// call that strikes depends on scheduling; tests that count strikes
+// pin Workers = 1 to make the struck evaluation deterministic.
+func faultConfig(seed uint64) Config {
+	cfg := smallConfig(seed)
+	cfg.Workers = 1
+	return cfg
+}
+
 // TestPartialFaultQuarantines pins the tentpole's graceful-degradation
 // contract: a failed LP solve quarantines the affected prey for the
 // generation — worst-known fitness, fault counted — and the run keeps
 // going instead of dying.
 func TestPartialFaultQuarantines(t *testing.T) {
-	cfg := smallConfig(41)
+	cfg := faultConfig(41)
 	// Let generation 1's solve wave (≤16 distinct prey) succeed, then
 	// fail exactly one solve of generation 2.
 	cfg.LPFault = lpFaultAfter(16, 1)
@@ -107,7 +117,7 @@ func TestFaultHooksWithoutStrikesAreBitIdentical(t *testing.T) {
 func TestFaultedRunDeterministic(t *testing.T) {
 	mk := smallMarket(t)
 	run := func() (*Engine, *Result) {
-		cfg := smallConfig(43)
+		cfg := faultConfig(43)
 		cfg.LPFault = lpFaultAfter(16, 2)
 		e, err := NewEngine(mk, cfg)
 		if err != nil {
@@ -177,7 +187,7 @@ func TestAllFaultTerminal(t *testing.T) {
 // evolved on substituted fitness, so a resume could never replay
 // bit-identically (the property carbond's retries rely on).
 func TestSnapshotOnDegradedEngineRefused(t *testing.T) {
-	cfg := smallConfig(53)
+	cfg := faultConfig(53)
 	cfg.LPFault = lpFaultAfter(16, 1)
 	e, err := NewEngine(smallMarket(t), cfg)
 	if err != nil {
@@ -201,8 +211,8 @@ func TestSnapshotOnDegradedEngineRefused(t *testing.T) {
 // failed paired evaluation quarantines the predator (worst-known
 // fitness, no archive entry) without touching the LP layer.
 func TestEvalFaultQuarantinesPredator(t *testing.T) {
-	cfg := smallConfig(59)
-	// The predator wave is the first EvalTreeWith consumer each
+	cfg := faultConfig(59)
+	// The predator wave is the first paired-evaluation consumer each
 	// generation; failing call 1 hits predator 0's first pairing.
 	cfg.EvalFault = fault.New(1).Site("eval", fault.Rule{Every: 1, Limit: 1}).Strike
 	e, err := NewEngine(smallMarket(t), cfg)
@@ -234,7 +244,7 @@ func TestEvalFaultQuarantinesPredator(t *testing.T) {
 // engine — the serving front end polls exactly like this while a job
 // runs. Run under -race (make race) this pins the locking.
 func TestConcurrentStepAndErrPolling(t *testing.T) {
-	cfg := smallConfig(61)
+	cfg := faultConfig(61)
 	cfg.LPFault = lpFaultAfter(20, 3)
 	e, err := NewEngine(smallMarket(t), cfg)
 	if err != nil {
@@ -269,7 +279,7 @@ func TestConcurrentStepAndErrPolling(t *testing.T) {
 func TestGenStatsReportFaults(t *testing.T) {
 	var mu sync.Mutex
 	var last GenStats
-	cfg := smallConfig(67)
+	cfg := faultConfig(67)
 	cfg.LPFault = lpFaultAfter(16, 1)
 	cfg.Observer = FuncObserver{Generation: func(gs GenStats) {
 		mu.Lock()

@@ -1,0 +1,75 @@
+package core
+
+import (
+	"math"
+	"testing"
+)
+
+// runGolden is one whole-run hex golden: the final Result of a seeded
+// run on smallMarket, pinned as math.Float64bits of Best.Revenue and
+// Best.GapPct plus the best tree's S-expression.
+type runGolden struct {
+	seed     uint64
+	workers  int
+	gens     int
+	revBits  uint64
+	gapBits  uint64
+	bestTree string
+}
+
+func checkRunGoldens(t *testing.T, goldens []runGolden) {
+	t.Helper()
+	mk := smallMarket(t)
+	for _, g := range goldens {
+		cfg := smallConfig(g.seed)
+		cfg.Workers = g.workers
+		res, err := Run(mk, cfg)
+		if err != nil {
+			t.Fatalf("seed=%d workers=%d: %v", g.seed, g.workers, err)
+		}
+		if res.Gens != g.gens {
+			t.Errorf("seed=%d workers=%d: gens=%d, want %d", g.seed, g.workers, res.Gens, g.gens)
+		}
+		if bits := math.Float64bits(res.Best.Revenue); bits != g.revBits {
+			t.Errorf("seed=%d workers=%d: revenue bits %#x (%v), want %#x",
+				g.seed, g.workers, bits, res.Best.Revenue, g.revBits)
+		}
+		if bits := math.Float64bits(res.Best.GapPct); bits != g.gapBits {
+			t.Errorf("seed=%d workers=%d: gap bits %#x (%v), want %#x",
+				g.seed, g.workers, bits, res.Best.GapPct, g.gapBits)
+		}
+		if res.Best.TreeStr != g.bestTree {
+			t.Errorf("seed=%d workers=%d: tree %q, want %q", g.seed, g.workers, res.Best.TreeStr, g.bestTree)
+		}
+	}
+}
+
+// TestExactModeGoldenBitIdentical pins the paper-faithful path: the
+// final Result of a whole run must reproduce, bit for bit and across
+// seeds and worker counts, the constants captured from the engine's
+// exact path before it ever had an optional LP-skipping mode. If this
+// test fails, the default path changed behavior, which refactors must
+// never do.
+func TestExactModeGoldenBitIdentical(t *testing.T) {
+	checkRunGoldens(t, []runGolden{
+		{7, 1, 12, 0x40a40149693b4ae7, 0x4018d9b5fc683eda, "(- (% (* c xbar) (- b q)) (* (mod b xbar) (% d d)))"},
+		{41, 1, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796eb, "xbar"},
+		{7, 2, 12, 0x40a40149693b4ae7, 0x4018d9b5fc683eda, "(- (% (* c xbar) (- b q)) (* (mod b xbar) (% d d)))"},
+		{41, 2, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796eb, "xbar"},
+	})
+}
+
+// TestCompiledRunGolden pins the bytecode evaluation path. The
+// constants were captured from an engine that could still evaluate
+// predators with the tree-walking interpreter, where a whole-run
+// equality test proved both paths bit-identical on exactly these
+// (Seed, Workers) pairs — so they pin the interpreter's results too,
+// which stays the test oracle of the VM (gp.FuzzCompiledEval).
+func TestCompiledRunGolden(t *testing.T) {
+	checkRunGoldens(t, []runGolden{
+		{3, 1, 12, 0x40a80171c0f9ee7e, 0x4000263f45aad50c, "(% (* c xbar) (- xbar (- xbar c)))"},
+		{3, 3, 12, 0x40a80171c0f9ee7e, 0x4000263f45aad50c, "(% (* c xbar) (- xbar (- xbar c)))"},
+		{17, 1, 12, 0x40a2bb587d6a9d44, 0x4010c243470544c3, "(+ xbar xbar)"},
+		{17, 3, 12, 0x40a2bb587d6a9d44, 0x4010c243470544a7, "(+ xbar xbar)"},
+	})
+}

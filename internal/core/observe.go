@@ -57,25 +57,6 @@ type GenStats struct {
 	// schema v2); nil in v1 traces and when the engine has no observer
 	// computing it.
 	Search *SearchStats `json:"search,omitempty"`
-
-	// Surr holds the generation's surrogate telemetry; nil unless the
-	// engine was built with Config.Surrogate.Enabled. An additive v2
-	// field: older readers ignore it, older traces simply lack it.
-	Surr *SurrStats `json:"surr,omitempty"`
-}
-
-// SurrStats is the per-generation surrogate-assisted-skipping snapshot
-// (DESIGN.md §5l). Skips+Exact equals the generation's distinct prey
-// genotypes; Err is the mean relative revenue residual of the
-// generation's pre-update predictions on exactly-evaluated genotypes —
-// the out-of-sample error of the scores the skip plan acted on, and the
-// signal the tracestat drift detector watches.
-type SurrStats struct {
-	Skips  int     `json:"skips"`  // LP solves avoided this generation
-	Exact  int     `json:"exact"`  // genotypes solved exactly this generation
-	Err    float64 `json:"err"`    // mean relative revenue residual
-	ErrLB  float64 `json:"err_lb"` // mean relative LB residual — the drift signal
-	Active bool    `json:"active"` // skip policy was in effect
 }
 
 // MigrationStats describes one ring edge of an island-model migration.

@@ -115,14 +115,6 @@ type Options struct {
 	// the publisher never blocks on a consumer.
 	EventBuffer int
 
-	// ForceExact strips the surrogate knobs from every submitted spec, so
-	// all jobs run the exact-LP golden path regardless of what callers
-	// ask for. An operator escape hatch: results published from a forced
-	// deployment are reproducible by the pre-surrogate engine
-	// bit-for-bit. Stripping happens before the spec is spooled, so a
-	// restart of a non-forced manager does not resurrect the knobs.
-	ForceExact bool
-
 	// Fault, when non-nil, arms fault-injection sites across the manager:
 	// lp.solve inside every job's engine, checkpoint.write and spool.write
 	// on the manager's own I/O. Testing and chaos drills only.
@@ -440,10 +432,6 @@ func (m *Manager) SubmitWithCheckpoint(spec JobSpec, ckpt []byte) (Status, error
 
 func (m *Manager) submit(spec JobSpec, ckpt []byte) (Status, error) {
 	spec = spec.withDefaults()
-	if m.opts.ForceExact {
-		spec.Surrogate = false
-		spec.SurrogateTopK, spec.SurrogateWarmup = 0, 0
-	}
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
 	}
@@ -503,6 +491,13 @@ func (m *Manager) submit(spec JobSpec, ckpt []byte) (Status, error) {
 			return Status{}, err
 		}
 	}
+	// Publish "queued" (seq 1) and snapshot the accepted status before
+	// the enqueue: once the job is on the queue a worker may mark it
+	// running at any moment, and neither the stream nor the caller may
+	// see that before the acceptance. A refused job's ring is dropped
+	// with it, unread.
+	j.publishState()
+	st := j.status()
 	// Registration and enqueue happen under one lock so the enqueue
 	// cannot race Close closing the channel; it is a non-blocking select,
 	// so the lock is never held across a wait.
@@ -516,8 +511,7 @@ func (m *Manager) submit(spec JobSpec, ckpt []byte) (Status, error) {
 	case m.queue <- j:
 		m.jobs[id] = j
 		m.mu.Unlock()
-		j.publishState() // seq 1: queued
-		return j.status(), nil
+		return st, nil
 	default:
 		m.mu.Unlock()
 		discard()

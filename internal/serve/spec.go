@@ -48,16 +48,6 @@ type JobSpec struct {
 	// its deadline fails; it is not resumed on restart.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 
-	// Surrogate enables surrogate-assisted LP skipping (DESIGN.md §5l)
-	// for this job; the zero value keeps the exact golden path. TopK and
-	// Warmup override the engine's resolved defaults when positive. Like
-	// the core knobs, none of this reaches the checkpoint fingerprint, so
-	// a spooled job resumes across an operator mode flip (see
-	// Options.ForceExact).
-	Surrogate       bool `json:"surrogate,omitempty"`
-	SurrogateTopK   int  `json:"surrogate_topk,omitempty"`
-	SurrogateWarmup int  `json:"surrogate_warmup,omitempty"`
-
 	// TraceParent carries W3C trace context. On submission it is the
 	// caller's context (the API fills it from the traceparent request
 	// header); the manager then rewrites it to the job's own root span
@@ -121,10 +111,6 @@ func (s *JobSpec) Validate() error {
 		return errors.New("serve: customers must be at least 1")
 	case s.Variation < 0 || s.Variation >= 1:
 		return fmt.Errorf("serve: variation %v outside [0,1)", s.Variation)
-	case s.SurrogateTopK < 0:
-		return fmt.Errorf("serve: negative surrogate_topk %d", s.SurrogateTopK)
-	case s.SurrogateWarmup < 0:
-		return fmt.Errorf("serve: negative surrogate_warmup %d", s.SurrogateWarmup)
 	}
 	if s.TraceParent != "" {
 		if _, err := span.ParseTraceParent(s.TraceParent); err != nil {
@@ -157,8 +143,5 @@ func (s *JobSpec) Config() core.Config {
 	cfg.ULEvalBudget, cfg.LLEvalBudget = s.ULEvals, s.LLEvals
 	cfg.PreySample = s.PreySample
 	cfg.Workers = s.Workers
-	cfg.Surrogate.Enabled = s.Surrogate
-	cfg.Surrogate.TopK = s.SurrogateTopK
-	cfg.Surrogate.Warmup = s.SurrogateWarmup
 	return cfg
 }

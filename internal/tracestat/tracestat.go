@@ -11,7 +11,6 @@ package tracestat
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 
@@ -172,7 +171,7 @@ func (r *Run) Summarize() Summary {
 
 // Anomaly flags one pathological pattern in a run's dynamics.
 type Anomaly struct {
-	Kind   string // "stagnation" | "bloat" | "disengagement" | "surrogate-drift"
+	Kind   string // "stagnation" | "bloat" | "disengagement"
 	Gen    int    // generation where the pattern starts
 	Detail string
 }
@@ -195,18 +194,6 @@ const (
 	disengageGens   = 5
 	disengageSpread = 1e-9
 	disengageFloor  = 1e-6
-	// surrogate-drift: the surrogate's out-of-sample LB error, which
-	// sits around 1% in-distribution (the LP bound is nearly linear in
-	// price), jumping past max(driftFactor × its baseline, driftFloor)
-	// for driftGens consecutive active generations means the model is
-	// predicting a market that no longer exists — a mid-stream market
-	// shift, exactly what the fingerprint's shape-only market check
-	// deliberately lets through. The baseline is the mean ErrLB of the
-	// first driftBaseGens active generations.
-	driftBaseGens = 5
-	driftFactor   = 3.0
-	driftFloor    = 0.05
-	driftGens     = 2
 )
 
 // DetectAnomalies scans the run for stagnation, bloat explosion and
@@ -283,44 +270,6 @@ func (r *Run) DetectAnomalies() []Anomaly {
 		}
 	}
 
-	// Surrogate drift: LB-error spike sustained over active generations.
-	// Warmup and inactive generations (model still fully exact) don't
-	// count toward the baseline — their residuals describe a model that
-	// no skip decision acted on.
-	baseSum, baseN := 0.0, 0
-	streak, start = 0, 0
-	for _, gs := range r.Gens {
-		su := gs.Surr
-		if su == nil || !su.Active {
-			continue
-		}
-		if baseN < driftBaseGens {
-			baseSum += su.ErrLB
-			baseN++
-			continue
-		}
-		base := baseSum / float64(baseN)
-		threshold := driftFactor * base
-		if threshold < driftFloor {
-			threshold = driftFloor
-		}
-		if su.ErrLB > threshold {
-			if streak == 0 {
-				start = gs.Gen
-			}
-			streak++
-			if streak == driftGens {
-				out = append(out, Anomaly{
-					Kind: "surrogate-drift", Gen: start,
-					Detail: fmt.Sprintf("surrogate LB error %.3f is %.1fx its %.3f baseline for %d straight generations",
-						su.ErrLB, su.ErrLB/math.Max(base, 1e-12), base, streak),
-				})
-				break
-			}
-		} else {
-			streak = 0
-		}
-	}
 	return out
 }
 
