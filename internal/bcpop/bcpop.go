@@ -403,8 +403,9 @@ func (ev *Evaluator) ResetWarm() { ev.relaxer.Reset() }
 func (ev *Evaluator) SetLPFault(h func() error) { ev.relaxer.SetFault(h) }
 
 // Relax computes the LP relaxation of the induced instance for a pricing
-// decision. The returned Relaxation aliases solver state that is
-// overwritten by the next Relax call.
+// decision. The returned Relaxation owns its slices — the warm solver
+// allocates a fresh solution per solve — so later Relax calls never
+// overwrite it.
 func (ev *Evaluator) Relax(price []float64) (*covering.Relaxation, error) {
 	if _, err := ev.mk.Costs(price, ev.costs); err != nil {
 		return nil, err

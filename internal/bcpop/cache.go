@@ -47,9 +47,10 @@ func Key(price []float64) string {
 
 // Prepared is a frozen evaluation context for one pricing decision: the
 // induced lower-level instance (owning its cost vector) and its LP
-// relaxation (owning its dual/x̄ copies), plus the price vector that
-// induced them. A Prepared is immutable after Prepare returns, so any
-// number of workers may evaluate heuristics against it concurrently.
+// relaxation (whose dual/x̄ slices each solve allocates fresh), plus the
+// price vector that induced them. A Prepared is immutable after Prepare
+// returns, so any number of workers may evaluate heuristics against it
+// concurrently.
 type Prepared struct {
 	Price []float64
 	In    *covering.Instance
@@ -86,7 +87,7 @@ func (ev *Evaluator) Prepare(price []float64) (*Prepared, error) {
 	return &Prepared{
 		Price: append([]float64(nil), price...),
 		In:    work,
-		Rx:    rx.Clone(),
+		Rx:    rx,
 	}, nil
 }
 

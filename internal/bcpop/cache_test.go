@@ -74,7 +74,9 @@ func TestEvalTreeWithMatchesEvalTree(t *testing.T) {
 
 // TestPreparedSurvivesLaterSolves: a Prepared context must stay valid
 // after the producing evaluator solves other instances — it owns its
-// costs, duals and x̄, aliasing no evaluator scratch.
+// costs, duals and x̄, aliasing no evaluator scratch. Prepare keeps the
+// solver's relaxation without copying it, so its bits are checked
+// directly as well as through a re-evaluation.
 func TestPreparedSurvivesLaterSolves(t *testing.T) {
 	mk := testMarket(t, 30, 5, 3)
 	set := covering.TableISet()
@@ -95,7 +97,13 @@ func TestPreparedSurvivesLaterSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rx := *pA.Rx
+	rx.Dual = append([]float64(nil), pA.Rx.Dual...)
+	rx.XBar = append([]float64(nil), pA.Rx.XBar...)
 	// Hammer the evaluator's scratch with other work.
+	if _, err := ev.Relax(priceB); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ev.Prepare(priceB); err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +116,17 @@ func TestPreparedSurvivesLaterSolves(t *testing.T) {
 	}
 	if before != after {
 		t.Fatalf("prepared context was corrupted by later solves: %+v vs %+v", before, after)
+	}
+	same := math.Float64bits(pA.Rx.LB) == math.Float64bits(rx.LB) &&
+		len(pA.Rx.Dual) == len(rx.Dual) && len(pA.Rx.XBar) == len(rx.XBar)
+	for i := 0; same && i < len(rx.Dual); i++ {
+		same = math.Float64bits(pA.Rx.Dual[i]) == math.Float64bits(rx.Dual[i])
+	}
+	for i := 0; same && i < len(rx.XBar); i++ {
+		same = math.Float64bits(pA.Rx.XBar[i]) == math.Float64bits(rx.XBar[i])
+	}
+	if !same {
+		t.Fatal("prepared relaxation changed under later solves")
 	}
 }
 

@@ -61,7 +61,8 @@ func (r *Router) ServeJobEvents(w http.ResponseWriter, req *http.Request, fleetI
 
 // eventStream returns the job's stream, starting its pump on first
 // use. Streams are created lazily — a fleet where nobody watches pays
-// nothing — and live until the job reaches a terminal state.
+// nothing — and stay replayable after the job finishes, until its
+// DELETE drops them with the route.
 func (r *Router) eventStream(fleetID string) (*fleetStream, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

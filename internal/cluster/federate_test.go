@@ -443,3 +443,71 @@ func TestFleetEventStreamStitchesAcrossFailover(t *testing.T) {
 		t.Fatalf("post-failover resume replayed %d frames (want 3), tail %+v", replayed, tail[len(tail)-1])
 	}
 }
+
+// TestRouterDeleteDropsEventStream: DELETE drops the router's stream
+// for the job along with its route, and a client subscribed before the
+// DELETE still sees its stream end with eof.
+func TestRouterDeleteDropsEventStream(t *testing.T) {
+	_, w1 := testWorker(t, serve.Options{Workers: 1})
+	r := newTestRouter(t, Options{Workers: []string{w1.URL}})
+	h := r.Handler()
+	front := httptest.NewServer(h)
+	t.Cleanup(front.Close)
+
+	rr, body := do(t, h, "POST", "/v1/jobs", longSpec(91), nil)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: got %d: %s", rr.Code, body)
+	}
+	var st serve.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(front.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	firstFrame := make(chan struct{})
+	sawEOF := make(chan bool, 1)
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		first := true
+		for sc.Scan() {
+			line := sc.Text()
+			if first && strings.HasPrefix(line, "data: ") {
+				first = false
+				close(firstFrame)
+			}
+			if line == "event: eof" {
+				sawEOF <- true
+				return
+			}
+		}
+		sawEOF <- false
+	}()
+	select {
+	case <-firstFrame:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no frame before the DELETE")
+	}
+
+	if rr, _ := do(t, h, "DELETE", "/v1/jobs/"+st.ID, nil, nil); rr.Code != http.StatusOK {
+		t.Fatalf("delete: got %d", rr.Code)
+	}
+	r.mu.Lock()
+	_, held := r.streams[st.ID]
+	r.mu.Unlock()
+	if held {
+		t.Fatal("router still holds the deleted job's event stream")
+	}
+	select {
+	case ok := <-sawEOF:
+		if !ok {
+			t.Fatal("subscribed stream ended without eof")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("subscribed stream never ended after the DELETE")
+	}
+}

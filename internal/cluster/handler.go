@@ -259,6 +259,9 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	r.deleteWorkerJob(rt.Worker, rt.JobID)
 	r.mu.Lock()
 	delete(r.routes, id)
+	// The pump still holds the stream: it sees the route gone, closes
+	// the ring and so ends every attached client with eof.
+	delete(r.streams, id)
 	r.mu.Unlock()
 	_ = os.Remove(r.routePath(id))
 	_ = os.Remove(r.mirrorPath(id))

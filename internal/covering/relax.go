@@ -16,20 +16,6 @@ type Relaxation struct {
 	Status lp.Status
 }
 
-// Clone returns a deep copy of the relaxation whose slices are owned by
-// the caller. Cached relaxations (bcpop's shared-relaxation evaluation
-// cache) are cloned once at preparation time so they stay valid no
-// matter what the producing solver does afterwards — the solver is free
-// to reuse its buffers on future solves.
-func (rx *Relaxation) Clone() *Relaxation {
-	return &Relaxation{
-		LB:     rx.LB,
-		Dual:   append([]float64(nil), rx.Dual...),
-		XBar:   append([]float64(nil), rx.XBar...),
-		Status: rx.Status,
-	}
-}
-
 // lpProblem builds min c·x, Qx ≥ b, 0 ≤ x ≤ 1 for the instance.
 func (in *Instance) lpProblem() *lp.Problem {
 	m, n := in.M(), in.N()

@@ -141,7 +141,17 @@ func TestWarmSolverSolutionsIndependent(t *testing.T) {
 
 func BenchmarkWarmResolve500x30(b *testing.B) {
 	r := rng.New(77)
-	p := randomCoveringLP(r, 500, 30)
+	benchWarmResolve(b, r, randomCoveringLP(r, 500, 30))
+}
+
+// BenchmarkWarmResolveDense500x30 is the same stream on a fully dense
+// matrix, the shape of the paper's instances: the dense-slab path.
+func BenchmarkWarmResolveDense500x30(b *testing.B) {
+	r := rng.New(77)
+	benchWarmResolve(b, r, denseCoveringLP(r, 500, 30))
+}
+
+func benchWarmResolve(b *testing.B, r *rng.Rand, p *Problem) {
 	ws, err := NewWarmSolver(p)
 	if err != nil {
 		b.Fatal(err)
