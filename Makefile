@@ -2,24 +2,23 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race check cover bench bench-preflight bench-diff bench-smoke bench-module bench-all quick full taxonomy examples serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
+.PHONY: all build vet lint test race check cover bench bench-preflight bench-diff bench-smoke bench-module bench-all quick full taxonomy examples smoke serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
 
 all: build vet test
 
 # The full pre-commit gate: compile, static checks, lint, tests, race
 # detector, a one-iteration pass over the hot-path benchmarks (so they
 # cannot rot), the repo benchmark's own smoke test, the
-# committed-capture regression diff, the carbond
-# crash-recovery smoke test, the carbonstat
-# analyzer self-check, the fault-injection chaos gate, the span tracing
-# gate, the cluster router gate, and the observability-plane gate.
-check: build vet lint test race bench-smoke bench-module bench-diff serve-smoke stat-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke
+# committed-capture regression diff, the five live-process smoke gates
+# and the carbonstat analyzer self-check.
+check: build vet lint test race bench-smoke bench-module bench-diff smoke stat-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags smoke ./internal/smoketest/
 
 # Static hygiene beyond vet: gofmt cleanliness everywhere, plus
 # staticcheck when it happens to be installed (never required — the
@@ -114,46 +113,38 @@ full:
 taxonomy:
 	$(GO) run carbon/cmd/blbench -taxonomy
 
-# End-to-end crash recovery gate: builds carbond, submits a job, SIGKILLs
-# the server mid-run, restarts, and asserts the resumed job finishes with
-# the exact bits of an uninterrupted run (then the same for SIGTERM drain).
+# The live-process smoke gates: real carbond/carbonfleet binaries driven
+# over HTTP, each a scenario on the internal/smoketest harness. `smoke`
+# runs all five in one go test invocation; each <gate>-smoke runs one.
+#   serve-smoke  SIGKILL and SIGTERM mid-run; the resumed job is bit-identical
+#   chaos-smoke  LP faults, torn writes and a SIGKILL lose no job; a
+#                permanent outage dead-letters after exactly 3 attempts
+#   trace-smoke  a caller-traced job survives an LP retry and a SIGKILL as
+#                one parent-linked trace that `carbonstat -spans` renders
+#   fleet-smoke  3 workers + router: round-robin, 429 admission, failover,
+#                revival sweep, networked islands, cross-node trace
+#   obs-smoke    streamed jobs stay bit-identical with the reference's LP
+#                solves, Last-Event-ID resume across failover, federated
+#                counter sums, alert fire/clear, `carbontop -once`
+SMOKE = $(GO) test -tags smoke -count=1 -run
+
+smoke:
+	$(SMOKE) '^Test(Serve|Chaos|Trace|Fleet|Obs)$$' ./internal/smoketest/
+
 serve-smoke:
-	$(GO) run carbon/cmd/servesmoke
+	$(SMOKE) '^TestServe$$' ./internal/smoketest/
 
-# Fault-injection gate: carbond under injected LP failures, torn
-# checkpoint/spool writes and a SIGKILL must lose zero accepted jobs,
-# finish every survivor bit-identical to a fault-free run, and
-# dead-letter honestly under a permanent outage.
 chaos-smoke:
-	$(GO) run carbon/cmd/chaossmoke
+	$(SMOKE) '^TestChaos$$' ./internal/smoketest/
 
-# Tracing gate: a job with a caller traceparent survives an LP fault
-# (retry + backoff) and a SIGKILL restart; its span file must hold one
-# fully parent-linked trace whose critical path and kind breakdown
-# account for the wall time, and `carbonstat -spans` must render it.
 trace-smoke:
-	$(GO) run carbon/cmd/tracesmoke
+	$(SMOKE) '^TestTrace$$' ./internal/smoketest/
 
-# Cluster gate: three carbond workers behind a carbonfleet router.
-# Jobs shard round-robin, an over-quota tenant gets a 429 + Retry-After,
-# SIGKILLing the worker hosting a running job must lose nothing (the job
-# resumes on a survivor from the mirrored checkpoint, bit-identical), a
-# revived worker's stale copies are swept, networked islands reproduce
-# in-process RunIslands exactly, and the cross-node trace assembles with
-# zero orphans.
 fleet-smoke:
-	$(GO) run carbon/cmd/fleetsmoke
+	$(SMOKE) '^TestFleet$$' ./internal/smoketest/
 
-# Observability gate: three workers + router with SLO rules armed.
-# Every job streams over SSE and must still finish bit-identical to an
-# in-process reference (zero RNG consumed, no extra LP solves); the
-# victim's stream is dropped, its worker SIGKILLed, and a Last-Event-ID
-# resume must replay exactly the missed tail across the failover; the
-# router's federated /metrics/prometheus must conserve counter sums over
-# the survivors; the routes-unfinished alert fires and clears; and
-# `carbontop -once` renders the post-mortem fleet.
 obs-smoke:
-	$(GO) run carbon/cmd/obsmoke
+	$(SMOKE) '^TestObs$$' ./internal/smoketest/
 
 examples:
 	$(GO) run carbon/examples/quickstart

@@ -153,8 +153,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "carbond:", err)
 		os.Exit(1)
 	}
-	// The bound address goes to stdout so wrappers (the serve-smoke
-	// driver, scripts using -addr :0) can discover the port.
+	// The bound address goes to stdout so wrappers (the smoke test
+	// harness, scripts using -addr :0) can discover the port.
 	fmt.Printf("carbond: serving on %s (spool %s)\n", ln.Addr(), *spool)
 
 	srv := &http.Server{Handler: mux}

@@ -9,32 +9,28 @@
 //
 //	smokecheck            exit 0 when clean, exit 1 listing offenders
 //
-// Detection walks /proc/<pid>/cmdline, so it needs a Linux-style procfs;
-// elsewhere the check reports "skipped" and passes — better to run an
-// unguarded benchmark than to fail it on a platform we cannot inspect.
+// Detection (smoketest.Scan) walks /proc/<pid>/cmdline, so it needs a
+// Linux-style procfs; elsewhere the check reports "skipped" and passes —
+// better to run an unguarded benchmark than to fail it on a platform we
+// cannot inspect.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+
+	"carbon/internal/smoketest"
 )
 
-// strays are the long-running binaries this repo can leave behind: the
-// daemons themselves plus every smoke driver that spawns them.
-var strays = []string{
-	"carbond", "carbonfleet",
-	"servesmoke", "chaossmoke", "fleetsmoke", "obsmoke", "tracesmoke",
-}
-
 func main() {
-	if _, err := os.Stat("/proc/self/cmdline"); err != nil {
+	// go run's wrapper never matches: its argv[0] is the compiled tool
+	// path, checked by basename.
+	offenders, err := smoketest.Scan(smoketest.IsStray)
+	if errors.Is(err, smoketest.ErrNoProcfs) {
 		fmt.Println("smokecheck: no procfs on this platform, check skipped")
 		return
 	}
-	offenders, err := scan(os.Getpid())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smokecheck:", err)
 		os.Exit(1)
@@ -45,39 +41,7 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "smokecheck: stray processes would skew the benchmark; kill them first:")
 	for _, o := range offenders {
-		fmt.Fprintf(os.Stderr, "  %s\n", o)
+		fmt.Fprintf(os.Stderr, "  pid %d: %s\n", o.PID, o.Argv0)
 	}
 	os.Exit(1)
-}
-
-// scan lists running processes whose argv[0] basename matches a known
-// stray, excluding self (and go run's wrapper never matches: argv[0] is
-// the compiled tool path, checked by basename).
-func scan(self int) ([]string, error) {
-	entries, err := os.ReadDir("/proc")
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		pid, err := strconv.Atoi(e.Name())
-		if err != nil || pid == self {
-			continue
-		}
-		// Processes may exit mid-scan; unreadable entries are not ours
-		// to report.
-		raw, err := os.ReadFile(filepath.Join("/proc", e.Name(), "cmdline"))
-		if err != nil || len(raw) == 0 {
-			continue
-		}
-		argv0 := strings.SplitN(string(raw), "\x00", 2)[0]
-		name := filepath.Base(argv0)
-		for _, s := range strays {
-			if name == s {
-				out = append(out, fmt.Sprintf("pid %d: %s", pid, argv0))
-				break
-			}
-		}
-	}
-	return out, nil
 }

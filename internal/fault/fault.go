@@ -6,8 +6,8 @@
 // slowly). Decisions are a pure function of (injector seed, site name,
 // 1-based call index), so a chaos run is reproducible: the same seed
 // and the same call sequence fire the same faults, which is what lets
-// cmd/chaossmoke assert bit-identical recovery rather than "it did not
-// crash".
+// the chaos smoke gate (smoketest.TestChaos) assert bit-identical
+// recovery rather than "it did not crash".
 //
 // A nil *Injector and a nil *Site are both valid and inert, so
 // production paths pay one nil check when injection is off.
