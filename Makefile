@@ -83,8 +83,8 @@ bench-diff:
 # One-iteration benchmark pass: proves every benchmark (and the benchjson
 # parser) still runs, without paying for measurement. Part of `check`.
 bench-smoke: bench-preflight
-	$(GO) test -run XXX -bench 'EvalTree|EvalProgram|Prepare|EngineStep|Rotating|StepWithSearchStats|StepWithSpans|StepWithSubscribers|RouteSubmit|SolveCovering|WarmResolve' -benchtime=1x -benchmem \
-		./internal/lp/ ./internal/bcpop/ ./internal/core/ ./internal/serve/ ./internal/cluster/ | $(GO) run carbon/cmd/benchjson >/dev/null
+	$(GO) test -run XXX -bench 'EvalTree|EvalProgram|Prepare|EngineStep|Rotating|StepWithSearchStats|StepWithSpans|StepWithSubscribers|RouteSubmit|SolveCovering|WarmResolve|CobraRun' -benchtime=1x -benchmem \
+		./internal/lp/ ./internal/bcpop/ ./internal/cobra/ ./internal/core/ ./internal/serve/ ./internal/cluster/ | $(GO) run carbon/cmd/benchjson >/dev/null
 
 # The repo benchmark (benchmark/, its own module) has a smoke test that
 # the root `go test ./...` does not reach; run it so a core API change

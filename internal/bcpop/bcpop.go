@@ -23,6 +23,7 @@ package bcpop
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"carbon/internal/covering"
@@ -261,8 +262,8 @@ func (mk *Market) Revenue(price []float64, x []bool) float64 {
 type Result struct {
 	Revenue  float64 // F(x,y): leader revenue under the follower basket
 	LLCost   float64 // f(x,y): follower total cost
-	LB       float64 // LB(x): LP-relaxation lower bound of the induced LL
-	GapPct   float64 // Eq. 1: 100·(f−LB)/LB
+	LB       float64 // LB(x): LP-relaxation lower bound of the induced LL (NaN if unrelaxed)
+	GapPct   float64 // Eq. 1: 100·(f−LB)/LB (NaN if unrelaxed)
 	Feasible bool    // the follower answer covers all requirements
 }
 
@@ -313,10 +314,11 @@ func (m *EvalMetrics) observe(t0 time.Time, out Result) {
 	d := time.Since(t0)
 	m.EvalTime.Observe(d)
 	m.EvalLatency.Observe(float64(d) / float64(time.Microsecond))
-	if out.Feasible {
-		m.GapPct.Observe(out.GapPct)
-	} else {
+	switch {
+	case !out.Feasible:
 		m.Infeasible.Inc()
+	case !math.IsNaN(out.GapPct):
+		m.GapPct.Observe(out.GapPct)
 	}
 }
 
@@ -478,39 +480,32 @@ func (ev *Evaluator) EvalGRASP(price []float64, r *rng.Rand, starts int, alpha f
 
 // EvalSelection pairs a pricing decision with an explicit follower
 // selection (COBRA's raw binary vectors), repairing it to feasibility
-// first. It returns the result and the (repaired) basket.
+// first. It is Prepare followed by EvalSelectionWith: one LP solve, then
+// the repair. It returns the result and the (repaired) basket.
 func (ev *Evaluator) EvalSelection(price []float64, x []bool) (Result, []bool, error) {
-	var t0 time.Time
-	if ev.Metrics != nil {
-		t0 = time.Now()
-	}
-	rx, err := ev.Relax(price)
+	p, err := ev.Prepare(price)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	work, err := ev.mk.template.WithCosts(ev.costs)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res := work.Repair(x)
-	ev.Evals++
-	out := ev.result(price, rx, res)
-	if m := ev.Metrics; m != nil {
-		m.SelEvals.Inc()
-		m.observe(t0, out)
-	}
-	return out, res.X, nil
+	return ev.EvalSelectionWith(p, x)
 }
 
 func (ev *Evaluator) result(price []float64, rx *covering.Relaxation, res covering.GreedyResult) Result {
 	out := Result{
 		LLCost:   res.Cost,
-		LB:       rx.LB,
+		LB:       math.NaN(),
+		GapPct:   math.NaN(),
 		Feasible: res.Feasible,
 	}
 	if res.Feasible {
-		out.GapPct = covering.Gap(res.Cost, rx.LB)
 		out.Revenue = ev.mk.Revenue(price, res.X)
+	}
+	if rx == nil {
+		return out // unrelaxed context (Induce): no bound, so no gap
+	}
+	out.LB = rx.LB
+	if res.Feasible {
+		out.GapPct = covering.Gap(res.Cost, rx.LB)
 	} else {
 		// An infeasible follower answer forecasts nothing: worst gap,
 		// no revenue.

@@ -1,7 +1,9 @@
 package bcpop
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"carbon/internal/covering"
@@ -201,6 +203,71 @@ func TestEvalSelectionRepairs(t *testing.T) {
 	}
 	if math.Abs(res.LLCost-induced.SelectionCost(basket)) > 1e-9 {
 		t.Fatalf("LL cost %v vs %v", res.LLCost, induced.SelectionCost(basket))
+	}
+}
+
+// TestEvalSelectionWithContexts pins the one repair path: against a
+// Prepare context it reproduces EvalSelection bit for bit, and against
+// an Induce context it solves no LP, keeps the revenue side and reports
+// no bound.
+func TestEvalSelectionWithContexts(t *testing.T) {
+	mk := testMarket(t, 40, 5, 4)
+	ev, err := NewEvaluator(mk, covering.TableISet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := 0
+	ev.SetLPFault(func() error { solves++; return nil })
+	r := rng.New(9)
+	for trial := 0; trial < 5; trial++ {
+		price := mk.PriceBounds().RandomVector(r)
+		x := make([]bool, mk.Bundles())
+		for j := range x {
+			x[j] = r.Bool(0.3)
+		}
+		ev.ResetWarm()
+		want, wantBasket, err := ev.EvalSelection(price, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.ResetWarm()
+		p, err := ev.Prepare(price)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, basket, err := ev.EvalSelectionWith(p, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || !slices.Equal(basket, wantBasket) {
+			t.Fatalf("trial %d: relaxed context %+v, EvalSelection %+v", trial, got, want)
+		}
+
+		before := solves
+		u, err := ev.Induce(price)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.Rx != nil {
+			t.Fatal("Induce attached a relaxation")
+		}
+		un, unBasket, err := ev.EvalSelectionWith(u, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solves != before {
+			t.Fatalf("trial %d: unrelaxed pairing made %d LP solves", trial, solves-before)
+		}
+		if un.Revenue != want.Revenue || un.LLCost != want.LLCost || un.Feasible != want.Feasible ||
+			!slices.Equal(unBasket, wantBasket) {
+			t.Fatalf("trial %d: unrelaxed %+v vs relaxed %+v", trial, un, want)
+		}
+		if !math.IsNaN(un.LB) || !math.IsNaN(un.GapPct) {
+			t.Fatalf("trial %d: unrelaxed context reported LB %v gap %v", trial, un.LB, un.GapPct)
+		}
+	}
+	if _, _, err := ev.EvalSelectionWith(nil, make([]bool, mk.Bundles())); !errors.Is(err, ErrNotPrepared) {
+		t.Fatalf("nil context: err = %v, want ErrNotPrepared", err)
 	}
 }
 

@@ -6,8 +6,9 @@
 // pairs every predator with every sampled prey therefore needs only
 // |distinct prey| LP solves, not LLPopSize×|sample|. Prepare performs
 // that one solve and freezes the result into an immutable Prepared
-// context; EvalTreeWith evaluates any number of heuristics against it
-// without touching the solver; Cache deduplicates bit-identical price
+// context; EvalTreeWith evaluates any number of heuristics (and
+// EvalSelectionWith any number of raw baskets) against it without
+// touching the solver; Cache deduplicates bit-identical price
 // vectors (elitism and GP reproduction copy genotypes verbatim) so a
 // whole evaluation wave shares one solve per distinct genotype.
 package bcpop
@@ -46,11 +47,11 @@ func Key(price []float64) string {
 }
 
 // Prepared is a frozen evaluation context for one pricing decision: the
-// induced lower-level instance (owning its cost vector) and its LP
-// relaxation (whose dual/x̄ slices each solve allocates fresh), plus the
-// price vector that induced them. A Prepared is immutable after Prepare
-// returns, so any number of workers may evaluate heuristics against it
-// concurrently.
+// induced lower-level instance (owning its cost vector) and, when it
+// came from Prepare, its LP relaxation (whose dual/x̄ slices each solve
+// allocates fresh), plus the price vector that induced them. Rx is nil
+// in a context built by Induce. A Prepared is immutable once returned,
+// so any number of workers may evaluate against it concurrently.
 type Prepared struct {
 	Price []float64
 	In    *covering.Instance
@@ -67,7 +68,8 @@ type Prepared struct {
 // solve history); callers that need reproducible contexts must control
 // that history — the engine does so by calling ResetWarm on every
 // evaluator at each generation boundary and striping the solve wave
-// deterministically.
+// deterministically, and COBRA by calling ResetWarm before every
+// Prepare.
 //
 // Each Prepare is one real LP solve: it increments Metrics.LPSolves and
 // Metrics.CacheMisses.
@@ -76,19 +78,51 @@ func (ev *Evaluator) Prepare(price []float64) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := append([]float64(nil), ev.costs...)
-	work, err := ev.mk.template.WithCosts(costs)
+	p, err := ev.Induce(price)
 	if err != nil {
 		return nil, err
 	}
+	p.Rx = rx
 	if m := ev.Metrics; m != nil {
 		m.CacheMisses.Inc()
 	}
-	return &Prepared{
-		Price: append([]float64(nil), price...),
-		In:    work,
-		Rx:    rx,
-	}, nil
+	return p, nil
+}
+
+// Induce freezes the instance induced by price into an unrelaxed
+// context (Rx nil) without solving any LP. Revenue and follower cost
+// need only the induced costs, so a caller that never reads LB — COBRA's
+// upper level — pairs selections against it with EvalSelectionWith,
+// which then reports LB and GapPct as NaN.
+func (ev *Evaluator) Induce(price []float64) (*Prepared, error) {
+	in, err := ev.mk.Induced(price)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{Price: append([]float64(nil), price...), In: in}, nil
+}
+
+// EvalSelectionWith pairs a context from Prepare or Induce with an
+// explicit follower selection (COBRA's raw binary vectors), repairing
+// it to feasibility first. It solves no LP and charges one LL
+// evaluation (Evals). It returns the result — LB and GapPct are NaN
+// against an unrelaxed context — and the repaired basket.
+func (ev *Evaluator) EvalSelectionWith(p *Prepared, x []bool) (Result, []bool, error) {
+	if p == nil {
+		return Result{}, nil, ErrNotPrepared
+	}
+	var t0 time.Time
+	if ev.Metrics != nil {
+		t0 = time.Now()
+	}
+	res := p.In.Repair(x)
+	ev.Evals++
+	out := ev.result(p.Price, p.Rx, res)
+	if m := ev.Metrics; m != nil {
+		m.SelEvals.Inc()
+		m.observe(t0, out)
+	}
+	return out, res.X, nil
 }
 
 // EvalTreeWith pairs a prepared pricing context with a generated

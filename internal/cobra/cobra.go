@@ -27,6 +27,15 @@
 // completion before costing (Baldwinian repair: the genotype is not
 // rewritten), and the improvement phases run a fixed number of
 // generations per phase (PhaseGens).
+//
+// Only the gaps need an LP. The upper level reads revenue alone, so it
+// pairs each pricing with the partner basket on the induced instance
+// without relaxing it (bcpop.Evaluator.Induce). Every gap — lower-level
+// evaluation, co-evolution pairing and the recorded curve — divides by
+// the LB of a cold LP solve of its pricing, made once per distinct price
+// in each outer iteration and shared through a memo before the workers
+// repair against it. A cold solve is a pure function of the price, so
+// results do not depend on Workers.
 package cobra
 
 import (
@@ -72,7 +81,9 @@ type Config struct {
 	ArchiveInject int
 	// Elites per generation within an improvement phase.
 	Elites int
-	// Workers bounds evaluation parallelism (0 = GOMAXPROCS).
+	// Workers bounds evaluation parallelism (0 = GOMAXPROCS). It
+	// changes only the wall time: every Result field is bit-identical
+	// for any value.
 	Workers int
 }
 
@@ -140,7 +151,16 @@ type Result struct {
 }
 
 // Run executes COBRA on the market until either budget is exhausted.
+// An evaluation or relaxation failure ends the run with its error.
 func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
+	s, err := newState(mk, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
+
+func newState(mk *bcpop.Market, cfg Config) (*state, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,8 +176,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 		}
 		evs[i] = ev
 	}
-	s := &state{mk: mk, cfg: cfg, evs: evs, workers: workers, r: rng.New(cfg.Seed)}
-	return s.run()
+	return &state{mk: mk, cfg: cfg, evs: evs, workers: workers, r: rng.New(cfg.Seed), memo: bcpop.NewCache()}, nil
 }
 
 type state struct {
@@ -179,11 +198,59 @@ type state struct {
 	bestX []float64 // best-known partner for LL evaluations
 	bestY []bool    // best-known partner for UL evaluations
 
+	// memo holds the cold relaxation of every price whose gap was read
+	// in the current outer iteration (see relax).
+	memo *bcpop.Cache
+
 	ulUsed, llUsed int
 	res            *Result
 }
 
 func (s *state) run() (*Result, error) {
+	cfg := s.cfg
+	s.initPops()
+	for s.ulBudgetLeft(cfg.ULPopSize) && s.llBudgetLeft(cfg.LLPopSize) {
+		s.memo.Reset()
+		// Line 5: upper improvement then lower improvement.
+		for g := 0; g < cfg.PhaseGens && s.ulBudgetLeft(cfg.ULPopSize); g++ {
+			if err := s.upperGeneration(); err != nil {
+				return nil, err
+			}
+		}
+		for g := 0; g < cfg.PhaseGens && s.llBudgetLeft(cfg.LLPopSize); g++ {
+			if err := s.lowerGeneration(); err != nil {
+				return nil, err
+			}
+		}
+		// Line 8: co-evolution — random cross pairings.
+		if err := s.coevolution(); err != nil {
+			return nil, err
+		}
+		// Line 9: re-inject archive members.
+		s.injectFromArchives()
+	}
+
+	s.res.ULEvals, s.res.LLEvals = s.ulUsed, s.llUsed
+	if be, ok := s.archU.Best(); ok {
+		s.res.BestPrice = be.Item
+		s.res.BestRevenue = be.Fitness
+	}
+	if be, ok := s.archL.Best(); ok {
+		s.res.BestLLCost = be.Fitness
+		s.res.BestGapPct = be.Item.gapPct
+	}
+	s.res.MinGapPct = s.res.BestGapPct
+	for _, e := range s.archL.Entries() {
+		if e.Item.gapPct < s.res.MinGapPct {
+			s.res.MinGapPct = e.Item.gapPct
+		}
+	}
+	return s.res, nil
+}
+
+// initPops creates the initial populations (create_initial_pop,
+// copy_upper, copy_lower), the archives and the initial partners.
+func (s *state) initPops() {
 	cfg := s.cfg
 	bounds := s.mk.PriceBounds()
 	m := s.mk.Bundles()
@@ -211,75 +278,93 @@ func (s *state) run() (*Result, error) {
 	// Initial partners: the first individuals of each population.
 	s.bestX = append([]float64(nil), s.popU[0]...)
 	s.bestY = append([]bool(nil), s.popL[0]...)
-
-	for s.ulBudgetLeft(cfg.ULPopSize) && s.llBudgetLeft(cfg.LLPopSize) {
-		// Line 5: upper improvement then lower improvement.
-		for g := 0; g < cfg.PhaseGens && s.ulBudgetLeft(cfg.ULPopSize); g++ {
-			s.upperGeneration()
-		}
-		for g := 0; g < cfg.PhaseGens && s.llBudgetLeft(cfg.LLPopSize); g++ {
-			s.lowerGeneration()
-		}
-		// Line 8: co-evolution — random cross pairings.
-		s.coevolution()
-		// Line 9: re-inject archive members.
-		s.injectFromArchives()
-	}
-
-	s.res.ULEvals, s.res.LLEvals = s.ulUsed, s.llUsed
-	if be, ok := s.archU.Best(); ok {
-		s.res.BestPrice = be.Item
-		s.res.BestRevenue = be.Fitness
-	}
-	if be, ok := s.archL.Best(); ok {
-		s.res.BestLLCost = be.Fitness
-		s.res.BestGapPct = be.Item.gapPct
-	}
-	s.res.MinGapPct = s.res.BestGapPct
-	for _, e := range s.archL.Entries() {
-		if e.Item.gapPct < s.res.MinGapPct {
-			s.res.MinGapPct = e.Item.gapPct
-		}
-	}
-	return s.res, nil
 }
 
 func (s *state) ulBudgetLeft(n int) bool { return s.ulUsed+n <= s.cfg.ULEvalBudget }
 func (s *state) llBudgetLeft(n int) bool { return s.llUsed+n <= s.cfg.LLEvalBudget }
 
-// evalUpper scores every upper individual against the frozen best
-// basket.
-func (s *state) evalUpper() {
-	partner := s.bestY
-	evalStriped(len(s.popU), s.workers, func(i, w int) {
-		out, _, err := s.evs[w].EvalSelection(s.popU[i], partner)
-		if err != nil {
-			panic(fmt.Sprintf("cobra: upper evaluation: %v", err))
+// relax returns the cold LP relaxation of each price, in order. A price
+// already in the memo costs nothing; the distinct new ones are solved
+// before any worker repairs against them, one stripe per evaluator, each
+// from a reset basis. A relaxation is therefore a pure function of its
+// price: neither Workers nor the memo's lifetime changes a bit of it.
+func (s *state) relax(prices ...[]float64) ([]*bcpop.Prepared, error) {
+	slots := make([]int, len(prices))
+	var fresh []int
+	for i, p := range prices {
+		slot, isNew := s.memo.Slot(p)
+		slots[i] = slot
+		if isNew {
+			fresh = append(fresh, i)
 		}
-		s.fitU[i] = out.Revenue
+	}
+	err := evalStriped(len(fresh), s.workers, func(i, w int) error {
+		ev := s.evs[w]
+		ev.ResetWarm()
+		p, err := ev.Prepare(prices[fresh[i]])
+		if err != nil {
+			return err
+		}
+		s.memo.Fill(slots[fresh[i]], p)
+		return nil
 	})
+	if err != nil {
+		return nil, fmt.Errorf("cobra: relaxation: %w", err)
+	}
+	out := make([]*bcpop.Prepared, len(prices))
+	for i, slot := range slots {
+		out[i] = s.memo.At(slot)
+	}
+	return out, nil
+}
+
+// evalUpper scores every upper individual against the frozen best
+// basket. Revenue needs only the induced costs, so no LP is solved.
+func (s *state) evalUpper() error {
+	partner := s.bestY
+	err := evalStriped(len(s.popU), s.workers, func(i, w int) error {
+		ev := s.evs[w]
+		p, err := ev.Induce(s.popU[i])
+		if err != nil {
+			return err
+		}
+		out, _, err := ev.EvalSelectionWith(p, partner)
+		s.fitU[i] = out.Revenue
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("cobra: upper evaluation: %w", err)
+	}
 	s.ulUsed += len(s.popU)
+	return nil
 }
 
 // evalLower scores every lower individual against the frozen best
 // pricing. Fitness is the repaired follower cost f — deliberately NOT
 // the gap (see the package comment).
-func (s *state) evalLower() {
-	partner := s.bestX
-	evalStriped(len(s.popL), s.workers, func(i, w int) {
-		out, _, err := s.evs[w].EvalSelection(partner, s.popL[i])
-		if err != nil {
-			panic(fmt.Sprintf("cobra: lower evaluation: %v", err))
-		}
+func (s *state) evalLower() error {
+	ctx, err := s.relax(s.bestX)
+	if err != nil {
+		return err
+	}
+	err = evalStriped(len(s.popL), s.workers, func(i, w int) error {
+		out, _, err := s.evs[w].EvalSelectionWith(ctx[0], s.popL[i])
 		s.fitL[i] = out.LLCost
 		s.gapL[i] = out.GapPct
+		return err
 	})
+	if err != nil {
+		return fmt.Errorf("cobra: lower evaluation: %w", err)
+	}
 	s.llUsed += len(s.popL)
+	return nil
 }
 
-func (s *state) upperGeneration() {
+func (s *state) upperGeneration() error {
 	cfg := s.cfg
-	s.evalUpper()
+	if err := s.evalUpper(); err != nil {
+		return err
+	}
 	bestI := 0
 	for i := range s.fitU {
 		if s.fitU[i] > s.fitU[bestI] {
@@ -290,14 +375,19 @@ func (s *state) upperGeneration() {
 	for i, x := range s.popU {
 		s.archU.Add(append([]float64(nil), x...), s.fitU[i])
 	}
-	s.record()
+	if err := s.record(); err != nil {
+		return err
+	}
 	s.popU = breedUpper(s.r, s.popU, s.fitU, s.mk.PriceBounds(), cfg)
 	s.res.Gens++
+	return nil
 }
 
-func (s *state) lowerGeneration() {
+func (s *state) lowerGeneration() error {
 	cfg := s.cfg
-	s.evalLower()
+	if err := s.evalLower(); err != nil {
+		return err
+	}
 	bestI := 0
 	for i := range s.fitL {
 		if s.fitL[i] < s.fitL[bestI] {
@@ -308,15 +398,18 @@ func (s *state) lowerGeneration() {
 	for i, y := range s.popL {
 		s.archL.Add(llEntry{x: append([]bool(nil), y...), gapPct: s.gapL[i]}, s.fitL[i])
 	}
-	s.record()
+	if err := s.record(); err != nil {
+		return err
+	}
 	s.popL = breedLower(s.r, s.popL, s.fitL, cfg)
 	s.res.Gens++
+	return nil
 }
 
 // coevolution evaluates random cross pairings (x_i, y_j) of the two
 // populations and archives what it finds — the "random co-evolutionary
 // operator" of [32].
-func (s *state) coevolution() {
+func (s *state) coevolution() error {
 	cfg := s.cfg
 	type pair struct{ u, l int }
 	pairs := make([]pair, 0, cfg.CoevPairs)
@@ -327,29 +420,35 @@ func (s *state) coevolution() {
 		pairs = append(pairs, pair{s.r.Intn(len(s.popU)), s.r.Intn(len(s.popL))})
 	}
 	if len(pairs) == 0 {
-		return
+		return nil
 	}
-	type outcome struct {
-		rev, cost, gap float64
+	prices := make([][]float64, len(pairs))
+	for i, p := range pairs {
+		prices[i] = s.popU[p.u]
 	}
-	outs := make([]outcome, len(pairs))
-	evalStriped(len(pairs), s.workers, func(i, w int) {
-		p := pairs[i]
-		out, _, err := s.evs[w].EvalSelection(s.popU[p.u], s.popL[p.l])
-		if err != nil {
-			panic(fmt.Sprintf("cobra: coevolution: %v", err))
-		}
-		outs[i] = outcome{rev: out.Revenue, cost: out.LLCost, gap: out.GapPct}
+	ctx, err := s.relax(prices...)
+	if err != nil {
+		return err
+	}
+	outs := make([]bcpop.Result, len(pairs))
+	err = evalStriped(len(pairs), s.workers, func(i, w int) error {
+		var err error
+		outs[i], _, err = s.evs[w].EvalSelectionWith(ctx[i], s.popL[pairs[i].l])
+		return err
 	})
+	if err != nil {
+		return fmt.Errorf("cobra: coevolution: %w", err)
+	}
 	s.ulUsed += len(pairs)
 	s.llUsed += len(pairs)
 	for i, p := range pairs {
-		s.archU.Add(append([]float64(nil), s.popU[p.u]...), outs[i].rev)
-		s.archL.Add(llEntry{x: append([]bool(nil), s.popL[p.l]...), gapPct: outs[i].gap}, outs[i].cost)
-		if outs[i].rev > s.bestRevenueSoFar() {
+		s.archU.Add(append([]float64(nil), s.popU[p.u]...), outs[i].Revenue)
+		s.archL.Add(llEntry{x: append([]bool(nil), s.popL[p.l]...), gapPct: outs[i].GapPct}, outs[i].LLCost)
+		if outs[i].Revenue > s.bestRevenueSoFar() {
 			s.bestX = append(s.bestX[:0], s.popU[p.u]...)
 		}
 	}
+	return nil
 }
 
 func (s *state) bestRevenueSoFar() float64 {
@@ -391,7 +490,7 @@ func worstIndex(fit []float64, maximize bool) int {
 // the current upper population and the gap of the current best basket
 // re-measured against the current best pricing. The re-measurement is
 // charged to the LL budget (1 evaluation) to keep accounting honest.
-func (s *state) record() {
+func (s *state) record() error {
 	x := float64(s.ulUsed + s.llUsed)
 	bestF := s.fitU[0]
 	for _, f := range s.fitU {
@@ -402,14 +501,21 @@ func (s *state) record() {
 	s.res.ULCurve.X = append(s.res.ULCurve.X, x)
 	s.res.ULCurve.Y = append(s.res.ULCurve.Y, bestF)
 
-	if s.llBudgetLeft(1) {
-		out, _, err := s.evs[0].EvalSelection(s.bestX, s.bestY)
-		if err == nil {
-			s.llUsed++
-			s.res.GapCurve.X = append(s.res.GapCurve.X, x)
-			s.res.GapCurve.Y = append(s.res.GapCurve.Y, out.GapPct)
-		}
+	if !s.llBudgetLeft(1) {
+		return nil
 	}
+	ctx, err := s.relax(s.bestX)
+	if err != nil {
+		return err
+	}
+	out, _, err := s.evs[0].EvalSelectionWith(ctx[0], s.bestY)
+	if err != nil {
+		return fmt.Errorf("cobra: gap record: %w", err)
+	}
+	s.llUsed++
+	s.res.GapCurve.X = append(s.res.GapCurve.X, x)
+	s.res.GapCurve.Y = append(s.res.GapCurve.Y, out.GapPct)
+	return nil
 }
 
 func breedUpper(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cfg Config) [][]float64 {
@@ -488,17 +594,28 @@ func topK(fit []float64, k int, better func(i, j int) bool) []int {
 	return idx[:k]
 }
 
-// evalStriped mirrors core.evalStriped: one contiguous stripe per worker
-// so each stripe owns its warm LP solver; results land by index.
-func evalStriped(n, workers int, fn func(i, worker int)) {
+// evalStriped runs fn over [0,n) in one contiguous stripe per worker;
+// results land by index, so they do not depend on scheduling. A stripe
+// stops at its first error, and the error of the lowest failing index
+// is returned.
+func evalStriped(n, workers int, fn func(i, worker int) error) error {
 	if workers > n {
 		workers = n
 	}
+	errs := make([]error, n)
 	par.ForEach(workers, workers, func(w int) {
 		lo := n * w / workers
 		hi := n * (w + 1) / workers
 		for i := lo; i < hi; i++ {
-			fn(i, w)
+			if errs[i] = fn(i, w); errs[i] != nil {
+				return
+			}
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
