@@ -13,7 +13,6 @@
 //	carbonstat -diff old.jsonl new.jsonl    # metric-by-metric comparison
 //	carbonstat -run 'label#0' ...           # restrict to one run
 //	carbonstat -spans job.spans.jsonl ...   # per-job waterfall / critical path / retry timeline
-//	carbonstat -selfcheck                   # exercise the analyzer on synthetic traces
 //
 // -spans reads the <id>.spans.jsonl files carbond writes next to the
 // spool (carbon.spans/v1): per-job attempt timelines stitched across
@@ -33,25 +32,15 @@ import (
 
 func main() {
 	var (
-		table     = flag.Bool("table", false, "print a convergence/diversity table per run")
-		every     = flag.Int("every", 10, "table row spacing in generations (with -table)")
-		ops       = flag.Bool("ops", false, "print per-operator success totals per run")
-		ancestry  = flag.Bool("ancestry", false, "print the champion's provenance chain per run")
-		diff      = flag.Bool("diff", false, "diff two traces (two file arguments)")
-		runKey    = flag.String("run", "", "restrict to one run ('label#island')")
-		spans     = flag.Bool("spans", false, "analyze span files (<id>.spans.jsonl) instead of run traces")
-		selfcheck = flag.Bool("selfcheck", false, "run the built-in analyzer self-check and exit")
+		table    = flag.Bool("table", false, "print a convergence/diversity table per run")
+		every    = flag.Int("every", 10, "table row spacing in generations (with -table)")
+		ops      = flag.Bool("ops", false, "print per-operator success totals per run")
+		ancestry = flag.Bool("ancestry", false, "print the champion's provenance chain per run")
+		diff     = flag.Bool("diff", false, "diff two traces (two file arguments)")
+		runKey   = flag.String("run", "", "restrict to one run ('label#island')")
+		spans    = flag.Bool("spans", false, "analyze span files (<id>.spans.jsonl) instead of run traces")
 	)
 	flag.Parse()
-
-	if *selfcheck {
-		if err := runSelfCheck(); err != nil {
-			fmt.Fprintln(os.Stderr, "carbonstat: self-check FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("carbonstat self-check: ok")
-		return
-	}
 
 	if *spans {
 		if flag.NArg() == 0 {

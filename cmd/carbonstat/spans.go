@@ -8,7 +8,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"carbon/internal/span"
 	"carbon/internal/tracestat"
 )
 
@@ -153,90 +152,4 @@ func fmtDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%dns", d.Nanoseconds())
 	}
-}
-
-// selfCheckSpans exercises the span analyzer end to end on a synthetic
-// trace emitted through the real tracer: announce/end dedup, tree
-// linkage, critical path, breakdown conservation, orphan detection.
-// Wired into runSelfCheck so `carbonstat -selfcheck` (and `make check`)
-// catches schema drift between span and tracestat.
-func selfCheckSpans() error {
-	col := &span.Collector{}
-	tr := span.New(col)
-	root := tr.Start(span.Context{}, "job").Kind(span.KindCompute).Announce()
-	q := tr.Start(root.Context(), "queue.wait").Kind(span.KindQueue)
-	q.End()
-	att := tr.Start(root.Context(), "attempt").Kind(span.KindCompute).Attr("attempt", 1).Announce()
-	for g := 1; g <= 3; g++ {
-		gen := tr.Start(att.Context(), "gen").Kind(span.KindCompute).Attr("gen", g)
-		lp := tr.Start(gen.Context(), "lp.solve").Kind(span.KindCompute)
-		lp.End()
-		gen.End()
-	}
-	att.End()
-	root.End()
-
-	tree := spanTreeFromRecords(col.Records())
-	if tree.Len() != 9 {
-		return fmt.Errorf("span tree has %d spans, want 9 (announce/end not deduped?)", tree.Len())
-	}
-	if len(tree.Roots) != 1 || len(tree.Orphans) != 0 || len(tree.Traces) != 1 {
-		return fmt.Errorf("span tree shape wrong: roots=%d orphans=%d traces=%d",
-			len(tree.Roots), len(tree.Orphans), len(tree.Traces))
-	}
-	if tree.Roots[0].Open {
-		return fmt.Errorf("ended root still marked open")
-	}
-	cp := tree.CriticalPath()
-	if len(cp) < 2 || cp[0].Record.Name != "job" {
-		return fmt.Errorf("critical path wrong: %d hops", len(cp))
-	}
-	for i := 1; i < len(cp); i++ {
-		if cp[i].Record.Parent != cp[i-1].Record.Span {
-			return fmt.Errorf("critical path hop %d not parent-linked", i)
-		}
-	}
-	b := tree.Breakdown()
-	if b.Covered > b.Wall || b.Covered <= 0 {
-		return fmt.Errorf("breakdown not conserved: covered %v of wall %v", b.Covered, b.Wall)
-	}
-	var kindSum time.Duration
-	for _, d := range b.ByKind {
-		kindSum += d
-	}
-	if kindSum != b.Covered {
-		return fmt.Errorf("kind attribution %v != covered %v", kindSum, b.Covered)
-	}
-	if got := len(tree.Attempts()); got != 1 {
-		return fmt.Errorf("attempts = %d, want 1", got)
-	}
-
-	// Orphan detection: re-parent one gen onto a span id that is in no
-	// record; the analyzer must flag exactly it.
-	recs := col.Records()
-	for i := range recs {
-		if recs[i].Name == "lp.solve" {
-			recs[i].Parent = "feedfacefeedface"
-			break
-		}
-	}
-	if damaged := spanTreeFromRecords(recs); len(damaged.Orphans) != 1 {
-		return fmt.Errorf("orphan not detected: %d", len(damaged.Orphans))
-	}
-	return nil
-}
-
-// spanTreeFromRecords round-trips records through the JSONL encoding so
-// the self-check covers the same path `-spans` uses on real files.
-func spanTreeFromRecords(recs []span.Record) *tracestat.SpanTree {
-	var buf strings.Builder
-	we := span.NewWriterExporter(&buf)
-	for _, r := range recs {
-		we.Export(r)
-	}
-	tree, err := tracestat.LoadSpans(strings.NewReader(buf.String()))
-	if err != nil {
-		panic(err)
-	}
-	return tree
 }

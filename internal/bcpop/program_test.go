@@ -174,8 +174,7 @@ func TestEvalProgramWithZeroAlloc(t *testing.T) {
 // BenchmarkEvalProgram500x30 is the compiled batched hot path at paper
 // scale: one Prepare + one CompileTree, then repeated cached paired
 // evaluations. Compare against BenchmarkEvalTree500x30 (uncached
-// interpreter, the PR 7 baseline) and BenchmarkEvalTreeWith500x30
-// (cached interpreter) in BENCH_pr8.json.
+// interpreter) and BenchmarkEvalTreeWith500x30 (cached interpreter).
 func BenchmarkEvalProgram500x30(b *testing.B) {
 	mk := testMarket(b, 500, 30, 50)
 	set := covering.TableISet()

@@ -258,6 +258,7 @@ func BenchmarkCarbonGeneration(b *testing.B) {
 	cfg.ULPopSize = 20
 	cfg.LLPopSize = 20
 	cfg.PreySample = 2
+	cfg.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"carbon/internal/bcpop"
 	"carbon/internal/rng"
+	"carbon/internal/span"
 	"carbon/internal/telemetry"
 )
 
@@ -250,26 +252,48 @@ func TestInjectAtMaxElites(t *testing.T) {
 // BenchmarkEngineStep times whole generations on a mid-size market and
 // reports the measured LP solves per generation — the headline number
 // of the shared-relaxation cache (was L×S+U = 48 per generation at
-// this configuration; now at most U = 16).
+// this configuration; now at most U = 16). The sub-benchmarks step the
+// same engine bare, observed (observer + lineage + SearchStats) and
+// span-traced. Workers is pinned to 1 so the trajectory does not
+// depend on the machine's GOMAXPROCS.
 func BenchmarkEngineStep(b *testing.B) {
 	mk := smallMarket(b)
-	cfg := smallConfig(1)
-	cfg.ULEvalBudget = 1 << 30
-	cfg.LLEvalBudget = 1 << 30
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	e, err := NewEngine(mk, cfg)
-	if err != nil {
-		b.Fatal(err)
+	for _, mode := range []string{"bare", "search", "spans"} {
+		b.Run(mode, func(b *testing.B) {
+			cfg := smallConfig(1)
+			cfg.Workers = 1
+			cfg.ULEvalBudget = 1 << 30
+			cfg.LLEvalBudget = 1 << 30
+			reg := telemetry.NewRegistry()
+			cfg.Metrics = reg
+			statsBlocks := 0
+			switch mode {
+			case "search":
+				cfg.Observer = FuncObserver{Generation: func(gs GenStats) {
+					if gs.Search != nil {
+						statsBlocks++
+					}
+				}}
+			case "spans":
+				cfg.Spans = span.New(span.NewWriterExporter(io.Discard))
+			}
+			e, err := NewEngine(mk, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !e.Step() {
+					b.Fatal(e.Err())
+				}
+			}
+			b.StopTimer()
+			if mode == "search" && statsBlocks != b.N {
+				b.Fatalf("observer saw %d stats blocks over %d steps", statsBlocks, b.N)
+			}
+			solves := reg.Counter("bcpop.lp_solves").Load()
+			b.ReportMetric(float64(solves)/float64(b.N), "lp_solves/gen")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal(e.Err())
-		}
-	}
-	b.StopTimer()
-	solves := reg.Counter("bcpop.lp_solves").Load()
-	b.ReportMetric(float64(solves)/float64(b.N), "lp_solves/gen")
 }

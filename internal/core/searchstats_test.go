@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"carbon/internal/telemetry"
 )
 
 var knownOps = map[string]bool{
@@ -346,40 +344,4 @@ func TestSnapshotRestoreWithStats(t *testing.T) {
 	if len(res.Ancestry) == 0 {
 		t.Fatal("restored run produced no ancestry")
 	}
-}
-
-// BenchmarkStepWithSearchStats is BenchmarkEngineStep with the full
-// introspection layer on (observer + lineage + SearchStats). Compare
-// against BenchmarkEngineStep: the acceptance bar for the PR is <5%
-// overhead.
-func BenchmarkStepWithSearchStats(b *testing.B) {
-	mk := smallMarket(b)
-	cfg := smallConfig(1)
-	cfg.ULEvalBudget = 1 << 30
-	cfg.LLEvalBudget = 1 << 30
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	gens := 0
-	cfg.Observer = FuncObserver{Generation: func(gs GenStats) {
-		if gs.Search != nil {
-			gens++
-		}
-	}}
-	e, err := NewEngine(mk, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal(e.Err())
-		}
-	}
-	b.StopTimer()
-	if gens != b.N {
-		b.Fatalf("observer saw %d stats blocks over %d steps", gens, b.N)
-	}
-	solves := reg.Counter("bcpop.lp_solves").Load()
-	b.ReportMetric(float64(solves)/float64(b.N), "lp_solves/gen")
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"carbon/internal/span"
-	"carbon/internal/telemetry"
 )
 
 // TestRunBitIdenticalWithSpans is the determinism gate for the tracing
@@ -189,30 +188,4 @@ func TestIslandMigrationSpans(t *testing.T) {
 	if len(islands) != ic.Islands {
 		t.Fatalf("gen spans tag %d distinct islands, want %d", len(islands), ic.Islands)
 	}
-}
-
-// BenchmarkStepWithSpans is BenchmarkEngineStep with tracing on — the
-// acceptance gate is staying within ~2% of the untraced benchmark.
-func BenchmarkStepWithSpans(b *testing.B) {
-	mk := smallMarket(b)
-	cfg := smallConfig(1)
-	cfg.ULEvalBudget = 1 << 30
-	cfg.LLEvalBudget = 1 << 30
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	cfg.Spans = span.New(span.NewWriterExporter(io.Discard))
-	e, err := NewEngine(mk, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal(e.Err())
-		}
-	}
-	b.StopTimer()
-	solves := reg.Counter("bcpop.lp_solves").Load()
-	b.ReportMetric(float64(solves)/float64(b.N), "lp_solves/gen")
 }

@@ -8,12 +8,11 @@ import (
 	"carbon/internal/telemetry"
 )
 
-// BenchmarkStepWithSubscribers is core's BenchmarkEngineStep (same
+// BenchmarkStepWithSubscribers is core's BenchmarkEngineStep/bare (same
 // market, same config) with the live-event fan-out attached: every
 // generation is published into a bounded ring with four SSE-style
-// subscribers draining concurrently. The acceptance gate is staying
-// within ~2% of the bare engine step — publish is one mutex'd ring
-// write and four non-blocking wakes, nothing more.
+// subscribers draining concurrently. Publish is one mutex'd ring write
+// and four non-blocking wakes, nothing more.
 func BenchmarkStepWithSubscribers(b *testing.B) {
 	spec := JobSpec{
 		N: 60, M: 5, Instance: 3,

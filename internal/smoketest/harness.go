@@ -21,7 +21,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -338,14 +337,6 @@ func WaitFile(t testing.TB, path, what string) {
 		t.Fatalf("%s never appeared at %s", what, path)
 	}
 }
-
-// strays are the long-running binaries this repo can leave behind: the
-// daemons themselves plus the smoke test binary that spawns them.
-var strays = []string{"carbond", "carbonfleet", "smoketest.test"}
-
-// IsStray reports whether argv0's basename is carbond, carbonfleet or
-// smoketest.test: a binary this repo can leave running.
-func IsStray(argv0 string) bool { return slices.Contains(strays, filepath.Base(argv0)) }
 
 // ErrNoProcfs is Scan's error on a platform without a Linux-style
 // procfs, where it cannot see other processes.

@@ -2,7 +2,6 @@ package tracestat
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -20,14 +19,12 @@ func specRec(id, parent, name, kind string, start, end int64, remote bool, attrs
 	}
 }
 
-func encodeRecs(t *testing.T, recs []span.Record) *bytes.Buffer {
-	t.Helper()
+// encodeRecs writes recs as JSONL through span.WriterExporter.
+func encodeRecs(recs []span.Record) *bytes.Buffer {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	we := span.NewWriterExporter(&buf)
 	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
+		we.Export(r)
 	}
 	return &buf
 }
@@ -60,8 +57,27 @@ func jobRecs() []span.Record {
 	}
 }
 
+// tracerRecs runs a three-generation job through a real span.Tracer —
+// the job and attempt spans announced before they end — and returns the
+// records in export order: 11 records for 9 spans.
+func tracerRecs() []span.Record {
+	col := &span.Collector{}
+	tr := span.New(col)
+	root := tr.Start(span.Context{}, "job").Kind(span.KindCompute).Announce()
+	tr.Start(root.Context(), "queue.wait").Kind(span.KindQueue).End()
+	att := tr.Start(root.Context(), "attempt").Kind(span.KindCompute).Attr("attempt", 1).Announce()
+	for g := 1; g <= 3; g++ {
+		gen := tr.Start(att.Context(), "gen").Kind(span.KindCompute).Attr("gen", g)
+		tr.Start(gen.Context(), "lp.solve").Kind(span.KindCompute).End()
+		gen.End()
+	}
+	att.End()
+	root.End()
+	return col.Records()
+}
+
 func TestLoadSpansTree(t *testing.T) {
-	tree, err := LoadSpans(encodeRecs(t, jobRecs()))
+	tree, err := LoadSpans(encodeRecs(jobRecs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +114,50 @@ func TestLoadSpansTree(t *testing.T) {
 	if tree.WallNS() != 900 {
 		t.Fatalf("WallNS = %d, want 900", tree.WallNS())
 	}
+
+	// The same invariants on records from a real tracer, read back
+	// through the exporter's encoding.
+	traced, err := LoadSpans(encodeRecs(tracerRecs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := traced.Len(); got != 9 {
+		t.Fatalf("traced Len = %d, want 9 (announce/end pairs deduped)", got)
+	}
+	if len(traced.Traces) != 1 || len(traced.Roots) != 1 || len(traced.Orphans) != 0 {
+		t.Fatalf("traced traces=%d roots=%d orphans=%d, want 1/1/0",
+			len(traced.Traces), len(traced.Roots), len(traced.Orphans))
+	}
+	if traced.Roots[0].Open {
+		t.Fatal("ended traced root still marked open")
+	}
+	cp := traced.CriticalPath()
+	if len(cp) < 2 || cp[0].Record.Name != "job" {
+		t.Fatalf("traced critical path has %d hops", len(cp))
+	}
+	for i := 1; i < len(cp); i++ {
+		if cp[i].Record.Parent != cp[i-1].Record.Span {
+			t.Fatalf("traced critical path hop %d not parent-linked", i)
+		}
+	}
+	b := traced.Breakdown()
+	if b.Covered <= 0 || b.Covered > b.Wall {
+		t.Fatalf("traced breakdown covers %v of wall %v", b.Covered, b.Wall)
+	}
+	var byKind time.Duration
+	for _, d := range b.ByKind {
+		byKind += d
+	}
+	if byKind != b.Covered {
+		t.Fatalf("traced kind sum %v != covered %v", byKind, b.Covered)
+	}
+	if got := len(traced.Attempts()); got != 1 {
+		t.Fatalf("traced attempts = %d, want 1", got)
+	}
 }
 
 func TestSpanBreakdownSums(t *testing.T) {
-	tree, err := LoadSpans(encodeRecs(t, jobRecs()))
+	tree, err := LoadSpans(encodeRecs(jobRecs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +199,7 @@ func TestSpanBreakdownSums(t *testing.T) {
 }
 
 func TestSpanCriticalPath(t *testing.T) {
-	tree, err := LoadSpans(encodeRecs(t, jobRecs()))
+	tree, err := LoadSpans(encodeRecs(jobRecs()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +235,7 @@ func TestSpanOrphanAndOpen(t *testing.T) {
 		specRec("bb04", "dead", "relax", span.KindCompute, 200, 300, false, nil),  // orphan
 		specRec("bb05", "gone", "attempt", span.KindCompute, 500, 800, true, nil), // remote → root
 	}
-	tree, err := LoadSpans(encodeRecs(t, recs))
+	tree, err := LoadSpans(encodeRecs(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +257,23 @@ func TestSpanOrphanAndOpen(t *testing.T) {
 	if tree.WallNS() != 700 {
 		t.Fatalf("WallNS = %d, want 700", tree.WallNS())
 	}
+
+	// A real tracer's records with one lp.solve re-parented onto a span
+	// id no record carries: exactly that span is an orphan.
+	recs = tracerRecs()
+	for i := range recs {
+		if recs[i].Name == "lp.solve" {
+			recs[i].Parent = "feedfacefeedface"
+			break
+		}
+	}
+	damaged, err := LoadSpans(encodeRecs(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(damaged.Orphans) != 1 || damaged.Orphans[0].Record.Name != "lp.solve" {
+		t.Fatalf("orphans = %+v, want exactly the re-parented lp.solve", damaged.Orphans)
+	}
 }
 
 // TestSpanAttemptsStitched reconstructs the retry timeline of a job
@@ -217,7 +290,7 @@ func TestSpanAttemptsStitched(t *testing.T) {
 		specRec("cc05", "cc04", "gen", span.KindCompute, 600, 700, false, nil),
 		specRec("cc06", "cc04", "gen", span.KindCompute, 700, 880, false, nil),
 	}
-	tree, err := LoadSpans(encodeRecs(t, recs))
+	tree, err := LoadSpans(encodeRecs(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +320,7 @@ func TestSpanPhasesQuantiles(t *testing.T) {
 			"dd01", "gen", span.KindCompute, int64(i*100), int64(i*100+i*10), false, nil))
 	}
 	recs = append(recs, specRec("e00b", "dd01", "gen", span.KindCompute, 990, 0, false, nil))
-	tree, err := LoadSpans(encodeRecs(t, recs))
+	tree, err := LoadSpans(encodeRecs(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +348,7 @@ func TestSpanPhasesQuantiles(t *testing.T) {
 }
 
 func TestLoadSpansTruncatedTail(t *testing.T) {
-	buf := encodeRecs(t, jobRecs())
+	buf := encodeRecs(jobRecs())
 	b := buf.Bytes()
 	cut := b[:len(b)-20] // tear the final line
 	tree, err := LoadSpans(bytes.NewReader(cut))

@@ -2,6 +2,7 @@ package tracestat
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -306,12 +307,22 @@ func TestOperatorTotals(t *testing.T) {
 }
 
 func TestRoundTripFromObserver(t *testing.T) {
-	// A trace produced by the real observer must demux cleanly.
+	// A trace produced by the real observer must demux cleanly, with the
+	// v2 search blocks and the champion's ancestry intact.
 	var sb strings.Builder
 	obs := core.NewJSONLObserver(&sb)
 	obs.OnGeneration(core.GenStats{Label: "rt", Gen: 1, BestRevenue: 50})
 	obs.OnMigration(core.MigrationStats{Label: "rt", Gen: 1, From: 0, To: 1, Migrants: 1})
-	obs.OnDone(&core.Result{Label: "rt", Gens: 1})
+	obs.OnGeneration(core.GenStats{Label: "rt", Gen: 2, BestRevenue: 51, Search: &core.SearchStats{
+		PredSizeMean: 11, GapP10: 1.8, GapP50: 2, GapP90: 2.2,
+		Ops: []core.OperatorStats{{Op: "sbx", Count: 10, Improved: 3}, {Op: "gp_cross", Count: 12, Improved: 4}},
+	}})
+	ancestry := []core.LineageRecord{
+		{ID: 9, Op: "gp_cross", Gen: 1, Parents: []uint64{4, 5}, Expr: "(% (* q d) c)"},
+		{ID: 4, Op: "init"},
+		{ID: 5, Op: "init"},
+	}
+	obs.OnDone(&core.Result{Label: "rt", Gens: 2, Ancestry: ancestry})
 	if err := obs.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +331,16 @@ func TestRoundTripFromObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := f.Run("rt#0")
-	if r == nil || len(r.Gens) != 1 || len(r.Migrations) != 1 || r.Done == nil {
+	if r == nil || len(r.Gens) != 2 || len(r.Migrations) != 1 || r.Done == nil {
 		t.Fatalf("round trip lost events: %+v", f.Runs)
+	}
+	if s := r.Summarize(); !s.HasSearch || !s.Done {
+		t.Fatalf("summary lost the search block or done event: %+v", s)
+	}
+	if len(r.OperatorTotals()) != 2 {
+		t.Fatalf("operator totals: %+v", r.OperatorTotals())
+	}
+	if !reflect.DeepEqual(r.Done.Ancestry, ancestry) {
+		t.Fatalf("ancestry chain = %+v, want %+v", r.Done.Ancestry, ancestry)
 	}
 }
