@@ -19,6 +19,7 @@ build:
 vet:
 	$(GO) vet ./...
 	$(GO) vet -tags smoke ./internal/smoketest/
+	$(GO) -C benchmark vet ./...
 
 # Static hygiene beyond vet: gofmt cleanliness everywhere, plus
 # staticcheck when it happens to be installed (never required — the

@@ -119,19 +119,3 @@ func (p *Linear1D) SolvePessimistic() (Solution, error) {
 	}
 	return best, nil
 }
-
-// OptimismGap returns the difference between the pessimistic and
-// optimistic optimal values, F_pess − F_opt ≥ 0: the price the leader
-// pays for not being able to assume a benevolent follower. Both
-// subproblems must be solvable.
-func (p *Linear1D) OptimismGap() (float64, error) {
-	opt, err := p.Solve()
-	if err != nil {
-		return 0, err
-	}
-	pess, err := p.SolvePessimistic()
-	if err != nil {
-		return 0, err
-	}
-	return pess.F - opt.F, nil
-}

@@ -61,13 +61,6 @@ func TestOptimisticVsPessimistic(t *testing.T) {
 	if math.Abs(pess.F-0) > 1e-6 || math.Abs(pess.X-5) > 1e-6 || math.Abs(pess.Y-5) > 1e-6 {
 		t.Fatalf("pessimistic = %+v, want (5, 5, 0)", pess)
 	}
-	gap, err := p.OptimismGap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gap-5) > 1e-6 {
-		t.Fatalf("optimism gap = %v, want 5", gap)
-	}
 }
 
 func TestPessimisticEqualsOptimisticForStrictFollower(t *testing.T) {

@@ -184,15 +184,19 @@ func Decode(r io.Reader) (*State, error) {
 // DecodeBytes is Decode over an in-memory snapshot.
 func DecodeBytes(b []byte) (*State, error) { return Decode(bytes.NewReader(b)) }
 
-// WriteFile persists the state atomically: encode to a temp file in the
-// target directory, fsync, then rename over path. A crash at any moment
-// leaves either the previous snapshot or the new one, never a torn mix —
-// the property the serve spool depends on.
-func (st *State) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// WriteFile persists the state atomically with WriteAtomic.
+func (st *State) WriteFile(path string) error { return WriteAtomic(path, st.Encode) }
+
+// WriteAtomic is the repository's one crash-safe file writer: write
+// fills a temp file in path's directory, which is fsynced, closed and
+// renamed over path. A crash at any moment leaves either the previous
+// file or the new one, never a torn mix — the property the serve and
+// cluster spools and -resume depend on. On failure the temp file is
+// removed and path is untouched.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
+		return err
 	}
 	tmp := f.Name()
 	fail := func(err error) error {
@@ -200,20 +204,27 @@ func (st *State) WriteFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := st.Encode(f); err != nil {
+	if err := write(f); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("checkpoint: syncing %s: %w", tmp, err))
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		return fail(err)
+		os.Remove(tmp)
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: publishing snapshot: %w", err)
+		return err
 	}
 	return nil
+}
+
+// Quarantine moves a corrupt artifact aside to path+".corrupt" for
+// post-mortem, instead of deleting evidence or refusing to start.
+func Quarantine(path string) {
+	_ = os.Rename(path, path+".corrupt")
 }
 
 // LoadFile reads and verifies a snapshot written by WriteFile.

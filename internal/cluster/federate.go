@@ -82,7 +82,7 @@ func (r *Router) federate() {
 	failovers := r.failovers
 	r.mu.Unlock()
 
-	// Self-view gauges refresh before the self-scrape below renders them.
+	// Self-view gauges refresh before the self-scrape below reads them.
 	r.metrics.Gauge("cluster.workers_healthy").Set(float64(len(targets)))
 	r.metrics.Gauge("cluster.routes_unfinished").Set(float64(unfinished))
 	r.metrics.Gauge("cluster.failovers_total").Set(float64(failovers))
@@ -114,13 +114,10 @@ func (r *Router) federate() {
 	// The router contributes its own registry as one more scrape, under
 	// worker="router" — fleet dashboards see routing health next to
 	// worker health in one namespace.
-	scrapes := []telemetry.Scrape{}
-	var self bytes.Buffer
-	if err := telemetry.WritePrometheus(&self, telemetry.PromTarget{Name: "carbonfleet", Registry: r.metrics}); err == nil {
-		if fams, err := telemetry.ParseFamilies(&self); err == nil {
-			scrapes = append(scrapes, telemetry.Scrape{Worker: "router", Families: fams})
-		}
-	}
+	scrapes := []telemetry.Scrape{{
+		Worker:   "router",
+		Families: telemetry.Families(telemetry.PromTarget{Name: "carbonfleet", Registry: r.metrics}),
+	}}
 	errs := map[string]string{}
 	scraped := 0
 	for _, res := range results {

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"carbon/internal/checkpoint"
 	"carbon/internal/serve"
 	"carbon/internal/slo"
 	"carbon/internal/span"
@@ -223,7 +224,7 @@ func (r *Router) recover() error {
 		}
 		rt := new(route)
 		if err := readJSON(r.routePath(id), rt); err != nil {
-			quarantine(r.routePath(id))
+			checkpoint.Quarantine(r.routePath(id))
 			continue
 		}
 		r.routes[rt.FleetID] = rt

@@ -3,8 +3,10 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+
+	"carbon/internal/checkpoint"
 )
 
 // The router's spool mirrors serve's discipline: every record lands via
@@ -18,24 +20,10 @@ import (
 //	f000001.ckpt.json    last mirrored checkpoint envelope (failover seed)
 //	fleet.spans.jsonl    the router's own trace spans
 func writeFileAtomic(path string, b []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	return checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 func writeJSONAtomic(path string, v any) error {
@@ -55,9 +43,4 @@ func readJSON(path string, v any) error {
 		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	return nil
-}
-
-// quarantine moves a corrupt spool artifact aside for post-mortem.
-func quarantine(path string) {
-	_ = os.Rename(path, path+".corrupt")
 }

@@ -149,11 +149,6 @@ type Config struct {
 	// generation span the root of its own trace.
 	SpanParent span.Context
 
-	// SpanLPEvery samples every Nth relaxation solve of each generation
-	// as an "lp.solve" child span (0 = the default of 8 when Spans is
-	// set; negative disables the per-solve samples, keeping only waves).
-	SpanLPEvery int
-
 	// --- Fault injection (testing/chaos only; nil in production). ---
 
 	// LPFault, when non-nil, is installed on every worker evaluator's

@@ -73,10 +73,9 @@ type Engine struct {
 	island int
 
 	// Span tracing (Config.Spans). spanParent roots each generation
-	// span; spanLPEvery is the resolved lp.solve sampling stride.
-	spans       *span.Tracer
-	spanParent  span.Context
-	spanLPEvery int
+	// span.
+	spans      *span.Tracer
+	spanParent span.Context
 
 	// Per-generation observation state, reset by beginGen. observing is
 	// the one switch every wave consults; genSpan and waveSpan are nil
@@ -202,12 +201,6 @@ func NewEngine(mk *bcpop.Market, cfg Config) (*Engine, error) {
 		spans:      cfg.Spans,
 		spanParent: cfg.SpanParent,
 	}
-	switch {
-	case cfg.SpanLPEvery > 0:
-		e.spanLPEvery = cfg.SpanLPEvery
-	case cfg.SpanLPEvery == 0:
-		e.spanLPEvery = 8
-	}
 	if em := bcpop.NewEvalMetrics(cfg.Metrics); em != nil {
 		for _, ev := range evs {
 			ev.Metrics = em
@@ -254,11 +247,6 @@ func (e *Engine) CanStep() bool {
 
 // Gens returns the number of completed generations.
 func (e *Engine) Gens() int { return e.res.Gens }
-
-// SetObserver installs (or, with nil, removes) the per-generation hook
-// after construction. Prefer Config.Observer; this exists so callers
-// stepping an engine directly can attach monitoring mid-run.
-func (e *Engine) SetObserver(obs Observer) { e.obs = obs }
 
 // Err returns the terminal error of a failed Step, or nil. Once set the
 // engine refuses to step further. Individual evaluation failures are
@@ -496,6 +484,11 @@ func (e *Engine) assignSlots() {
 	}
 }
 
+// spanLPStride samples every 8th relaxation solve of a generation as an
+// "lp.solve" child span of the relax wave (sampling by index, never by
+// the run RNG).
+const spanLPStride = 8
+
 // relaxWave fills the cache with one LP relaxation per distinct prey.
 // The wave is striped contiguously, so each worker warm-chains a
 // deterministic subsequence of the missing genotypes: for a fixed
@@ -508,12 +501,12 @@ func (e *Engine) relaxWave() {
 	ctx := e.waveSpan.Context()
 	evalStriped(len(e.missing), e.workers, e.parMetrics(), func(s, worker int) {
 		i := e.missing[s]
-		// Sampled lp.solve child spans: every spanLPEvery-th distinct
+		// Sampled lp.solve child spans: every spanLPStride-th distinct
 		// genotype, so the waterfall shows representative solve
 		// latencies without a span per solve. sp is nil off-sample and
 		// when tracing is off; every path below ends it.
 		var sp *span.Span
-		if e.spans != nil && e.spanLPEvery > 0 && s%e.spanLPEvery == 0 {
+		if e.spans != nil && s%spanLPStride == 0 {
 			sp = e.spans.Start(ctx, "lp.solve").Kind(span.KindCompute).
 				Attr("prey", i).Attr("worker", worker)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -305,19 +306,21 @@ func TestGenStatsReportFaults(t *testing.T) {
 // non-intrusive.
 func TestTraceSinkFaultDoesNotPerturbRun(t *testing.T) {
 	mk := smallMarket(t)
-	run := func(sinkFault func() error) *Result {
-		obs := NewJSONLObserver(discardWriter{})
-		obs.SetFault(sinkFault)
+	run := func(w io.Writer) *Result {
 		cfg := smallConfig(71)
-		cfg.Observer = obs
+		cfg.Observer = NewJSONLObserver(w)
 		res, err := Run(mk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	clean := run(nil)
-	faulted := run(fault.New(1).Site(fault.SiteTraceEmit, fault.Rule{Every: 2}).Strike)
+	clean := run(io.Discard)
+	sink := &failEverySecond{}
+	faulted := run(sink)
+	if sink.failed == 0 {
+		t.Fatal("the failing sink never failed a write")
+	}
 	if clean.Best.Revenue != faulted.Best.Revenue || clean.Best.TreeStr != faulted.Best.TreeStr {
 		t.Fatalf("failing trace sink changed the run: %v/%q vs %v/%q",
 			clean.Best.Revenue, clean.Best.TreeStr, faulted.Best.Revenue, faulted.Best.TreeStr)
@@ -327,6 +330,14 @@ func TestTraceSinkFaultDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-type discardWriter struct{}
+// failEverySecond is a trace sink whose every second Write fails.
+type failEverySecond struct{ calls, failed int }
 
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *failEverySecond) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls%2 == 0 {
+		w.failed++
+		return 0, errors.New("sink down")
+	}
+	return len(p), nil
+}

@@ -172,14 +172,14 @@ type JSONLObserver struct {
 	out *telemetry.JSONL
 }
 
-// NewJSONLObserver writes trace events to w. Every event is flushed as
-// it is written, so a run killed mid-flight (SIGKILL, OOM) leaves a
+// NewJSONLObserver writes trace events to w. Every event reaches w in
+// one Write as it is emitted, so a run killed mid-flight (SIGKILL, OOM) leaves a
 // parseable trace missing at most the line being written — pair with
 // ReadTraceLenient to read such a tail-truncated file. One small write
 // per generation is noise next to a generation's evaluation cost. Call
 // Close after the run when w should be closed too.
 func NewJSONLObserver(w io.Writer) *JSONLObserver {
-	return &JSONLObserver{out: telemetry.NewJSONL(w).AutoFlush(true)}
+	return &JSONLObserver{out: telemetry.NewJSONL(w)}
 }
 
 func (o *JSONLObserver) OnGeneration(gs GenStats) {
@@ -205,16 +205,7 @@ func (o *JSONLObserver) OnDone(res *Result) {
 	_ = o.out.Emit(TraceEvent{Schema: TraceSchema, Event: "done", Done: &ds})
 }
 
-// SetFault installs (or, with nil, clears) a fault hook on the
-// underlying trace emitter; see telemetry.JSONL.SetFault. A failing
-// trace sink drops events but never perturbs the run — observer errors
-// are swallowed by design.
-func (o *JSONLObserver) SetFault(h func() error) { o.out.SetFault(h) }
-
-// Flush pushes buffered trace lines to the underlying writer.
-func (o *JSONLObserver) Flush() error { return o.out.Flush() }
-
-// Close flushes and closes the underlying writer when it is closable.
+// Close closes the underlying writer when it is closable.
 func (o *JSONLObserver) Close() error { return o.out.Close() }
 
 // ReadTrace parses a JSONL run log written by JSONLObserver, validating
@@ -227,10 +218,10 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) {
 }
 
 // ReadTraceLenient is ReadTrace for traces whose writer may have been
-// killed mid-line (JSONLObserver flushes per event, so a SIGKILLed run
-// leaves at most one torn final line). A corrupt final line missing its
-// terminating newline is dropped and reported via truncated; interior
-// corruption still fails.
+// killed mid-line (JSONLObserver writes each event through, so a
+// SIGKILLed run leaves at most one torn final line). A corrupt final
+// line missing its terminating newline is dropped and reported via
+// truncated; interior corruption still fails.
 func ReadTraceLenient(r io.Reader) (events []TraceEvent, truncated bool, err error) {
 	return readTrace(r, true)
 }

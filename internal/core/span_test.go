@@ -23,7 +23,6 @@ func TestRunBitIdenticalWithSpans(t *testing.T) {
 
 	traced := smallConfig(7)
 	traced.Spans = span.New(span.NewWriterExporter(io.Discard))
-	traced.SpanLPEvery = 1 // span every solve: maximum tracing pressure
 	got, err := Run(mk, traced)
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +34,14 @@ func TestRunBitIdenticalWithSpans(t *testing.T) {
 }
 
 // TestStepSpanStructure pins the per-generation span tree: one "gen"
-// root per Step, the four wave children parented to it, and sampled
-// lp.solve spans parented to the relax wave.
+// root per Step, the four wave children parented to it, and one
+// lp.solve span per spanLPStride distinct genotypes, parented to the
+// relax wave.
 func TestStepSpanStructure(t *testing.T) {
 	mk := smallMarket(t)
 	cfg := smallConfig(3)
 	var c span.Collector
 	cfg.Spans = span.New(&c)
-	cfg.SpanLPEvery = 1
 	e, err := NewEngine(mk, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +72,7 @@ func TestStepSpanStructure(t *testing.T) {
 			t.Fatalf("got %d %q spans, want %d", count[wave], wave, gens)
 		}
 	}
-	if count["lp.solve"] == 0 {
-		t.Fatal("no lp.solve spans despite SpanLPEvery=1")
-	}
+	solvesUnder := map[string]int{} // relax span ID -> lp.solve children
 	for _, r := range ended {
 		switch r.Name {
 		case "gen":
@@ -98,9 +95,28 @@ func TestStepSpanStructure(t *testing.T) {
 			if !ok || p.Name != "relax" || p.Trace != r.Trace {
 				t.Fatalf("lp.solve not parented to relax: %+v", r)
 			}
+			solvesUnder[r.Parent]++
 		default:
 			t.Fatalf("unexpected span %q", r.Name)
 		}
+	}
+	sampled := 0
+	for _, r := range ended {
+		if r.Name != "relax" {
+			continue
+		}
+		distinct, ok := r.Attrs["solves"].(int)
+		if !ok {
+			t.Fatalf("relax span without a solves attr: %+v", r)
+		}
+		want := (distinct + spanLPStride - 1) / spanLPStride
+		if got := solvesUnder[r.Span]; got != want {
+			t.Fatalf("relax wave of %d distinct genotypes has %d lp.solve spans, want %d", distinct, got, want)
+		}
+		sampled += want
+	}
+	if sampled == 0 {
+		t.Fatal("no relax wave sampled an lp.solve span")
 	}
 }
 
@@ -115,7 +131,6 @@ func TestStepSpanParent(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.Spans = tr
 	cfg.SpanParent = root.Context()
-	cfg.SpanLPEvery = -1 // negative disables lp.solve sampling entirely
 	e, err := NewEngine(mk, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +142,6 @@ func TestStepSpanParent(t *testing.T) {
 
 	sawGen := false
 	for _, r := range c.Records() {
-		if r.Name == "lp.solve" {
-			t.Fatalf("lp.solve span emitted with SpanLPEvery=-1: %+v", r)
-		}
 		if r.Name == "gen" {
 			sawGen = true
 			if r.Trace != root.Context().Trace.String() || r.Parent != root.Context().Span.String() {

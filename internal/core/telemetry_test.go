@@ -103,10 +103,6 @@ func TestDeterminismUnderTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	if !reflect.DeepEqual(resultKey(bare), resultKey(instrumented)) {
 		t.Fatalf("telemetry perturbed the run:\nbare:         %+v\ninstrumented: %+v",
 			resultKey(bare), resultKey(instrumented))
@@ -136,10 +132,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	events, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +239,6 @@ func TestIslandsObserverAndMetrics(t *testing.T) {
 
 	res, err := RunIslands(mk, cfg, ic)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := ReadTrace(bytes.NewReader(trace.Bytes()))

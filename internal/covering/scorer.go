@@ -67,19 +67,11 @@ func (ts *TreeScorer) Score(tree gp.Tree, scores []float64) {
 	}
 }
 
-// ScoreProgram is Score for a compiled tree: the same (item, service)
-// sweep and the same additive aggregation, but each pair is evaluated
-// by replaying bytecode instead of re-decoding tree nodes. The VM
-// reproduces gp.Tree.Eval bit-for-bit, so scores are bit-identical to
-// Score on the program's source tree.
-func (ts *TreeScorer) ScoreProgram(vm *gp.VM, p *gp.Program, scores []float64) {
-	ScoreProgramInto(ts.in, ts.rx, vm, p, scores)
-}
-
-// ScoreProgramInto is the allocation-free form of ScoreProgram used by
-// the evaluation hot path: no scorer object, the environment scratch
-// lives on the caller's stack, and the VM's operand stack is reused
-// across calls. One compiled predator is swept across all M×N
+// ScoreProgramInto is Score for a compiled tree, in the allocation-free
+// form the evaluation hot path uses: no scorer object, the environment
+// scratch lives on the caller's stack, and the VM's operand stack is
+// reused across calls. The VM reproduces gp.Tree.Eval bit for bit, so
+// the scores are bit-identical to Score on the program's source tree. One compiled predator is swept across all M×N
 // (item, service) pairs of a prepared context in a single batched pass.
 func ScoreProgramInto(in *Instance, rx *Relaxation, vm *gp.VM, p *gp.Program, scores []float64) {
 	var env [EnvLen]float64

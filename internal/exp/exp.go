@@ -18,7 +18,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -412,53 +411,6 @@ func (f Figure) SVG() string {
 		"best gap", f.Gap.X, f.Gap.Y)
 	gap.Series[0].Color = "#d62728"
 	return plot.Stack(720, 300, ul, gap)
-}
-
-// TraceFigure rebuilds a Figure from a JSONL run log (the
-// core.JSONLObserver format): generation events are grouped into
-// per-run curves by their label (falling back to island index), then
-// averaged onto a points-sized grid exactly like Figures — so a trace
-// captured with `carbon -trace` or `blbench -trace` replays into the
-// same SVG/CSV/ASCII pipeline without re-running anything.
-func TraceFigure(r io.Reader, points int) (Figure, error) {
-	events, err := core.ReadTrace(r)
-	if err != nil {
-		return Figure{}, err
-	}
-	keys := []string{}
-	uls := map[string]*stats.Series{}
-	gaps := map[string]*stats.Series{}
-	for _, ev := range events {
-		if ev.Event != "generation" {
-			continue
-		}
-		gs := ev.Gen
-		key := fmt.Sprintf("%s#%d", gs.Label, gs.Island)
-		if _, ok := uls[key]; !ok {
-			keys = append(keys, key)
-			uls[key] = &stats.Series{}
-			gaps[key] = &stats.Series{}
-		}
-		x := float64(gs.ULEvals + gs.LLEvals)
-		uls[key].X = append(uls[key].X, x)
-		uls[key].Y = append(uls[key].Y, gs.BestRevenue)
-		gaps[key].X = append(gaps[key].X, x)
-		gaps[key].Y = append(gaps[key].Y, gs.BestGap)
-	}
-	if len(keys) == 0 {
-		return Figure{}, fmt.Errorf("exp: trace holds no generation events")
-	}
-	ulRuns := make([]stats.Series, len(keys))
-	gapRuns := make([]stats.Series, len(keys))
-	for i, key := range keys {
-		ulRuns[i] = *uls[key]
-		gapRuns[i] = *gaps[key]
-	}
-	return Figure{
-		Algo: "trace",
-		UL:   stats.AverageSeries(ulRuns, points),
-		Gap:  stats.AverageSeries(gapRuns, points),
-	}, nil
 }
 
 // ASCII renders both curves as terminal plots.

@@ -1,7 +1,7 @@
 // Package fault is a deterministic, seed-driven fault-injection layer.
 //
 // Production code exposes narrow injection points — a hook consulted
-// before an LP solve, a checkpoint write, a spool write, a trace emit —
+// before an LP solve, a checkpoint write or a spool write —
 // and an Injector decides, per call, whether that point fails (and how
 // slowly). Decisions are a pure function of (injector seed, site name,
 // 1-based call index), so a chaos run is reproducible: the same seed
@@ -36,9 +36,6 @@ const (
 	// SiteSpoolWrite gates serve.Manager's spec and result spool
 	// writes. A strike leaves a torn spool artifact.
 	SiteSpoolWrite = "spool.write"
-	// SiteTraceEmit gates telemetry.JSONL.Emit — the trace sink behind
-	// core's JSONLObserver.
-	SiteTraceEmit = "trace.emit"
 )
 
 // ErrInjected is the sentinel wrapped by every injected failure, so
@@ -210,6 +207,8 @@ func (inj *Injector) Names() []string {
 //	site:key=val[,key=val...][;site2:...]
 //
 // e.g. "lp.solve:every=1,after=30,limit=8;spool.write:prob=0.2".
+// Sites: lp.solve, checkpoint.write, spool.write — a name no code
+// strikes is an error, so a typo cannot arm a drill that tests nothing.
 // Keys: every, prob, after, limit, latency (a Go duration), latencyonly
 // (a bool). An empty spec yields a nil injector (injection off).
 func Parse(spec string, seed uint64) (*Injector, error) {
@@ -227,6 +226,12 @@ func Parse(spec string, seed uint64) (*Injector, error) {
 		name = strings.TrimSpace(name)
 		if !ok || name == "" {
 			return nil, fmt.Errorf("fault: bad site spec %q (want site:key=val,...)", part)
+		}
+		switch name {
+		case SiteLPSolve, SiteCheckpoint, SiteSpoolWrite:
+		default:
+			return nil, fmt.Errorf("fault: unknown site %q (want %s, %s or %s)",
+				name, SiteLPSolve, SiteCheckpoint, SiteSpoolWrite)
 		}
 		var r Rule
 		for _, kv := range strings.Split(args, ",") {

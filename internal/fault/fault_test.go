@@ -191,6 +191,8 @@ func TestParseErrors(t *testing.T) {
 		"lp.solve:latency=1",        // bad duration
 		"lp.solve:after=3",          // never fires
 		"lp.solve:latencyonly=nope", // bad bool
+		"lp.slove:every=1",          // typo: no code strikes it
+		"trace.emit:every=1",        // no longer a site
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {

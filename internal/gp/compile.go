@@ -71,9 +71,6 @@ type Program struct {
 // Size returns the node count of the compiled tree.
 func (p *Program) Size() int { return p.size }
 
-// StackDepth returns the operand-stack high-water mark of the program.
-func (p *Program) StackDepth() int { return p.depth }
-
 // Terms returns the environment length the program requires.
 func (p *Program) Terms() int { return p.terms }
 
@@ -265,28 +262,4 @@ func (vm *VM) run(p *Program, env []float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// EvalBatch executes one program against many environment vectors in a
-// single pass: envs is row-major with the given stride (≥ p.Terms()),
-// and out[i] receives the result for row i — len(out) rows are
-// evaluated. This is the batched shape of the evaluation wave: compile
-// a predator once, sweep it across every cached prey context without
-// re-decoding the tree or allocating.
-func (vm *VM) EvalBatch(p *Program, envs []float64, stride int, out []float64) {
-	if len(p.code) == 0 {
-		panic("gp: evaluating an empty program")
-	}
-	if stride < p.terms {
-		panic(fmt.Sprintf("gp: batch stride %d below program requirement %d", stride, p.terms))
-	}
-	if len(envs) < stride*len(out) {
-		panic(fmt.Sprintf("gp: batch of %d rows needs %d floats, got %d", len(out), stride*len(out), len(envs)))
-	}
-	if cap(vm.stack) < p.depth {
-		vm.stack = make([]float64, p.depth)
-	}
-	for i := range out {
-		out[i] = vm.run(p, envs[i*stride:(i+1)*stride])
-	}
 }

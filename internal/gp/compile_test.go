@@ -108,27 +108,6 @@ func TestProgramRecompileReusesStorage(t *testing.T) {
 	}
 }
 
-func TestEvalBatchMatchesEval(t *testing.T) {
-	s := compileSet()
-	tr, p := mustCompile(t, s, "(- (* c q) (% d (mod x b)))")
-	vm := NewVM()
-	const rows = 7
-	stride := p.Terms()
-	envs := make([]float64, rows*stride)
-	r := rng.New(3)
-	for i := range envs {
-		envs[i] = r.Range(-10, 10)
-	}
-	out := make([]float64, rows)
-	vm.EvalBatch(p, envs, stride, out)
-	for i := 0; i < rows; i++ {
-		want := tr.Eval(s, envs[i*stride:(i+1)*stride])
-		if math.Float64bits(want) != math.Float64bits(out[i]) {
-			t.Fatalf("row %d: interpreter %v, batch %v", i, want, out[i])
-		}
-	}
-}
-
 // oversizeExpr builds a left-deep S-expression of exactly 2k+1 nodes
 // (k "+" ops over k+1 "c" leaves).
 func oversizeExpr(k int) string {
@@ -239,18 +218,6 @@ func FuzzCompiledEval(f *testing.F) {
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("tree %s on %v: interpreter %v (%x), VM %v (%x)",
 				tree.String(set), env, want, math.Float64bits(want), got, math.Float64bits(got))
-		}
-		// The batched entry point must agree with the scalar one.
-		envs := make([]float64, 0, 3*len(env))
-		for i := 0; i < 3; i++ {
-			envs = append(envs, env...)
-		}
-		out := make([]float64, 3)
-		vm.EvalBatch(prog, envs, len(env), out)
-		for i, v := range out {
-			if math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("batch row %d: got %v, want %v", i, v, want)
-			}
 		}
 	})
 }

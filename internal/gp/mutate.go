@@ -40,30 +40,6 @@ func PointMutate(r *rng.Rand, s *Set, t Tree) Tree {
 	return out
 }
 
-// JitterConsts perturbs every constant in the tree by Gaussian noise of
-// the given standard deviation, clamped to the set's ERC range. Trees
-// without constants are returned as unmodified clones. The input is not
-// mutated.
-func JitterConsts(r *rng.Rand, s *Set, t Tree, sigma float64) Tree {
-	out := t.Clone()
-	for i, n := range out.nodes {
-		if n.kind != kConst {
-			continue
-		}
-		v := n.val + sigma*r.NormFloat64()
-		if s.ConstProb > 0 {
-			if v < s.ConstMin {
-				v = s.ConstMin
-			}
-			if v > s.ConstMax {
-				v = s.ConstMax
-			}
-		}
-		out.nodes[i].val = v
-	}
-	return out
-}
-
 // ConstCount returns the number of ERC nodes in the tree.
 func (t Tree) ConstCount() int {
 	c := 0

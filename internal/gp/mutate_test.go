@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"math"
 	"testing"
 
 	"carbon/internal/rng"
@@ -75,60 +74,5 @@ func TestPointMutateConstWithoutERC(t *testing.T) {
 	}
 	if !mutatedToTerm {
 		t.Fatal("constant never became a terminal")
-	}
-}
-
-func TestJitterConsts(t *testing.T) {
-	s := ercSet()
-	r := rng.New(79)
-	tr := MustParse(s, "(+ (* a 2) 3)")
-	if tr.ConstCount() != 2 {
-		t.Fatalf("ConstCount = %d", tr.ConstCount())
-	}
-	jit := JitterConsts(r, s, tr, 0.5)
-	if err := jit.Check(s); err != nil {
-		t.Fatal(err)
-	}
-	changed := 0
-	for i := range tr.nodes {
-		if tr.nodes[i] != jit.nodes[i] {
-			if jit.nodes[i].kind != kConst {
-				t.Fatal("jitter touched a non-constant")
-			}
-			if jit.nodes[i].val < s.ConstMin || jit.nodes[i].val > s.ConstMax {
-				t.Fatalf("jittered constant %v outside ERC range", jit.nodes[i].val)
-			}
-			changed++
-		}
-	}
-	if changed == 0 {
-		t.Fatal("jitter changed nothing")
-	}
-	// Structure preserved.
-	if jit.Size() != tr.Size() || jit.Depth(s) != tr.Depth(s) {
-		t.Fatal("jitter changed tree shape")
-	}
-}
-
-func TestJitterConstsNoConstants(t *testing.T) {
-	s := ercSet()
-	r := rng.New(81)
-	tr := MustParse(s, "(+ a b)")
-	jit := JitterConsts(r, s, tr, 1.0)
-	if !jit.Equal(tr) {
-		t.Fatal("constant-free tree changed")
-	}
-}
-
-func TestJitterZeroSigma(t *testing.T) {
-	s := ercSet()
-	r := rng.New(83)
-	tr := MustParse(s, "(+ a 1.5)")
-	jit := JitterConsts(r, s, tr, 0)
-	for i := range tr.nodes {
-		if tr.nodes[i].kind == kConst &&
-			math.Abs(tr.nodes[i].val-jit.nodes[i].val) > 1e-12 {
-			t.Fatal("sigma 0 moved a constant")
-		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package par provides the parallel-execution primitives used across the
-// repository: bounded worker pools, deterministic parallel map/for over
-// index ranges, and chunked scheduling.
+// repository: bounded worker pools and a parallel for over index ranges.
 //
 // The evolutionary loops in internal/core and internal/cobra evaluate
 // whole populations per generation, and the experiment harness in
 // internal/exp fans out independent runs; both express their parallelism
-// through this package so that concurrency policy (worker count, chunk
-// size, panic propagation) lives in one place.
+// through this package so that concurrency policy (worker count, panic
+// propagation) lives in one place.
 //
 // Determinism contract: callers must not share rng state across work
 // items. ForEach guarantees that item i is processed exactly once and
@@ -175,60 +174,6 @@ func safeCall(i int, fn func(int), mu *sync.Mutex, perr **panicErr) (ok bool) {
 	}
 	fn(i)
 	return true
-}
-
-// Map applies fn to every index in [0, n) in parallel and returns the
-// results in index order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapSlice applies fn to every element of in, in parallel, preserving
-// order.
-func MapSlice[S, T any](in []S, workers int, fn func(S) T) []T {
-	return Map(len(in), workers, func(i int) T { return fn(in[i]) })
-}
-
-// Chunks invokes fn(lo, hi) over contiguous half-open chunks covering
-// [0, n), in parallel. Chunked scheduling amortizes per-item dispatch
-// for cheap loop bodies. chunk <= 0 selects ceil(n/ (4*workers)) with a
-// floor of 1.
-func Chunks(n, workers, chunk int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers)
-	if chunk <= 0 {
-		chunk = (n + 4*w - 1) / (4 * w)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	nChunks := (n + chunk - 1) / chunk
-	ForEach(nChunks, w, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}
-
-// Reduce computes a parallel reduction: fn maps each index to a partial
-// value, merge folds partials pairwise. merge must be associative;
-// identity is the zero of the reduction. Partials are merged in
-// deterministic index order, so non-commutative merges are safe as long
-// as they are associative.
-func Reduce[T any](n, workers int, identity T, fn func(i int) T, merge func(a, b T) T) T {
-	parts := Map(n, workers, fn)
-	acc := identity
-	for _, p := range parts {
-		acc = merge(acc, p)
-	}
-	return acc
 }
 
 // Pool is a reusable fixed-size worker pool for repeated waves of tasks

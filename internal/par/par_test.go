@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForEachCoversAllItems(t *testing.T) {
@@ -60,68 +59,6 @@ func TestForEachPanicSequential(t *testing.T) {
 	ForEach(3, 1, func(i int) { panic("seq") })
 }
 
-func TestMapOrder(t *testing.T) {
-	got := Map(100, 8, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapSlice(t *testing.T) {
-	in := []string{"a", "bb", "ccc"}
-	got := MapSlice(in, 2, func(s string) int { return len(s) })
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MapSlice = %v", got)
-		}
-	}
-}
-
-func TestChunksCoverExactly(t *testing.T) {
-	f := func(nRaw, chunkRaw uint8) bool {
-		n := int(nRaw)
-		chunk := int(chunkRaw % 16)
-		hits := make([]int32, n)
-		Chunks(n, 4, chunk, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for _, h := range hits {
-			if h != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	got := Reduce(1000, 4, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-	if got != 999*1000/2 {
-		t.Fatalf("Reduce sum = %d", got)
-	}
-}
-
-func TestReduceNonCommutativeAssociative(t *testing.T) {
-	// String concatenation is associative but not commutative; Reduce
-	// must merge partials in index order.
-	got := Reduce(10, 4, "", func(i int) string { return string(rune('a' + i)) },
-		func(a, b string) string { return a + b })
-	if got != "abcdefghij" {
-		t.Fatalf("Reduce order broken: %q", got)
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(5) != 5 {
 		t.Fatal("Workers(5) != 5")
@@ -161,21 +98,6 @@ func BenchmarkForEachSmallBody(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ForEach(256, 0, func(j int) { atomic.AddInt64(&sink, int64(j)) })
-	}
-	_ = sink
-}
-
-func BenchmarkChunksSmallBody(b *testing.B) {
-	var sink int64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Chunks(256, 0, 0, func(lo, hi int) {
-			var local int64
-			for j := lo; j < hi; j++ {
-				local += int64(j)
-			}
-			atomic.AddInt64(&sink, local)
-		})
 	}
 	_ = sink
 }

@@ -138,33 +138,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
-// ShuffleInts performs an in-place Fisher–Yates shuffle.
-func (r *Rand) ShuffleInts(p []int) {
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Shuffle performs an in-place Fisher–Yates shuffle using swap, like
-// math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // State returns the generator's internal state for checkpointing.
 func (r *Rand) State() [4]uint64 { return r.s }
 

@@ -193,44 +193,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleUniformFirstElement(t *testing.T) {
-	r := New(37)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		p := r.Perm(n)
-		counts[p[0]]++
-	}
-	expected := float64(draws) / n
-	for v, c := range counts {
-		if math.Abs(float64(c)-expected) > 0.05*expected {
-			t.Fatalf("element %d first with count %d, expected ~%v", v, c, expected)
-		}
-	}
-}
-
 func TestSampleDistinct(t *testing.T) {
 	r := New(41)
 	f := func(kRaw, nRaw uint8) bool {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 )
 
@@ -192,7 +193,7 @@ func TestAPIClusterEndpoints(t *testing.T) {
 		t.Fatalf("checkpoint of finished job: got %d", rr.Code)
 	}
 	// Plant one and it comes back verbatim.
-	if err := writeBytesAtomic(m.ckptPath(st.ID), ckpt); err != nil {
+	if err := os.WriteFile(m.ckptPath(st.ID), ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rr, body = apiDo(t, h, "GET", "/v1/jobs/"+st.ID+"/checkpoint", nil)

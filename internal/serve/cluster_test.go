@@ -144,7 +144,7 @@ func TestCheckpointBytes(t *testing.T) {
 	}
 	// A clean envelope on disk round-trips.
 	ckpt := snapshotBytes(t, tinySpec(41), 3)
-	if err := writeBytesAtomic(m.ckptPath(st.ID), ckpt); err != nil {
+	if err := os.WriteFile(m.ckptPath(st.ID), ckpt, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.CheckpointBytes(st.ID)

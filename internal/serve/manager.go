@@ -97,10 +97,8 @@ type Options struct {
 	// clean checkpoint, so completed generations are never re-bought.
 	MaxAttempts int
 	// RetryBackoff is the delay before attempt 2 (default 250ms); each
-	// further retry doubles it, capped at MaxBackoff, with ±50% jitter.
+	// further retry doubles it, capped at maxBackoff, with ±50% jitter.
 	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 10s).
-	MaxBackoff time.Duration
 	// AttemptTimeout bounds a single attempt's wall clock (0 = no bound).
 	// Unlike the spec's TimeoutSec — the job's total budget, which is
 	// never retried — an attempt timeout is retryable.
@@ -136,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 250 * time.Millisecond
-	}
-	if o.MaxBackoff == 0 {
-		o.MaxBackoff = 10 * time.Second
 	}
 	if o.RetrySeed == 0 {
 		o.RetrySeed = 1
@@ -296,7 +291,7 @@ func (m *Manager) recover() ([]*job, error) {
 		}
 		var spec JobSpec
 		if err := readJSON(m.specPath(id), &spec); err != nil {
-			quarantine(m.specPath(id))
+			checkpoint.Quarantine(m.specPath(id))
 			continue
 		}
 		j := &job{id: id, spec: spec, state: StateQueued, submitted: time.Now()}
@@ -366,16 +361,10 @@ func readJSONQuarantine(path string, v any) bool {
 		return false
 	}
 	if err := json.Unmarshal(b, v); err != nil {
-		quarantine(path)
+		checkpoint.Quarantine(path)
 		return false
 	}
 	return true
-}
-
-// quarantine moves a corrupt spool artifact aside for post-mortem
-// instead of deleting evidence or refusing to start.
-func quarantine(path string) {
-	_ = os.Rename(path, path+".corrupt")
 }
 
 // dispatch feeds queued jobs to the pool, at most opts.Workers in
@@ -486,7 +475,11 @@ func (m *Manager) submit(spec JobSpec, ckpt []byte) (Status, error) {
 	// the same atomic discipline; execute finds it exactly where a
 	// periodic checkpoint would have been.
 	if len(ckpt) > 0 {
-		if err := writeBytesAtomic(m.ckptPath(id), ckpt); err != nil {
+		err := checkpoint.WriteAtomic(m.ckptPath(id), func(w io.Writer) error {
+			_, err := w.Write(ckpt)
+			return err
+		})
+		if err != nil {
 			discard()
 			return Status{}, err
 		}
@@ -864,16 +857,19 @@ func (m *Manager) awaitRetry(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoffDelay is RetryBackoff·2^(attempt−1) capped at MaxBackoff, then
+// maxBackoff caps the exponential retry backoff before jitter.
+const maxBackoff = 10 * time.Second
+
+// backoffDelay is RetryBackoff·2^(attempt−1) capped at maxBackoff, then
 // scaled by a jitter factor in [0.5, 1.5) so a burst of failing jobs
 // does not hammer a recovering dependency in lockstep.
 func (m *Manager) backoffDelay(attempt int) time.Duration {
 	d := m.opts.RetryBackoff
-	for i := 1; i < attempt && d < m.opts.MaxBackoff; i++ {
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > m.opts.MaxBackoff {
-		d = m.opts.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	m.retryMu.Lock()
 	jit := 0.5 + m.retryRng.Float64()
@@ -936,7 +932,7 @@ func (m *Manager) execute(ctx context.Context, j *job, att *span.Span) error {
 			// Decodes but does not restore (config drift, corrupt fields):
 			// discard it and start fresh — re-bought generations over a
 			// wedged job.
-			quarantine(m.ckptPath(j.id))
+			checkpoint.Quarantine(m.ckptPath(j.id))
 			m.metDiscard.Inc()
 			e = nil
 		} else {
@@ -951,7 +947,7 @@ func (m *Manager) execute(ctx context.Context, j *job, att *span.Span) error {
 		// leaves. Quarantine it and start fresh rather than failing the
 		// job: losing a checkpoint costs re-computed generations, never
 		// correctness.
-		quarantine(m.ckptPath(j.id))
+		checkpoint.Quarantine(m.ckptPath(j.id))
 		m.metDiscard.Inc()
 	}
 	if e == nil {
@@ -1118,70 +1114,15 @@ func (m *Manager) removeSpool(id string) {
 	_ = os.Remove(m.deadPath(id))
 }
 
-// writeJSONAtomic writes v as JSON with the same temp-then-rename
-// discipline as checkpoint.State.WriteFile: readers (including a
-// recovering manager) never observe a torn file.
+// writeJSONAtomic writes v as indented JSON through
+// checkpoint.WriteAtomic: readers (including a recovering manager)
+// never observe a torn file.
 func writeJSONAtomic(path string, v any) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(e error) error {
-		f.Close()
-		os.Remove(tmp)
-		return e
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// writeBytesAtomic writes raw bytes with the temp-then-rename
-// discipline of writeJSONAtomic (used for seed checkpoints, whose
-// encoding is already a finished envelope).
-func writeBytesAtomic(path string, b []byte) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, "."+base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(e error) error {
-		f.Close()
-		os.Remove(tmp)
-		return e
-	}
-	if _, err := f.Write(b); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 func readJSON(path string, v any) error {

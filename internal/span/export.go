@@ -278,25 +278,8 @@ func Multi(exps ...Exporter) Exporter {
 	return out
 }
 
-// ReadRecords parses a span JSONL stream strictly, validating the
-// schema stamp on every line.
-func ReadRecords(r io.Reader) ([]Record, error) {
-	var out []Record
-	err := telemetry.DecodeLines(r, func(raw json.RawMessage) error {
-		rec, err := decodeRecord(raw)
-		if err != nil {
-			return err
-		}
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadRecordsLenient is ReadRecords tolerating a torn final line — the
+// ReadRecordsLenient parses a span JSONL stream, validating the schema
+// stamp on every line and tolerating a torn final line — the
 // signature a SIGKILLed exporter leaves. It reports whether such a
 // tail was dropped.
 func ReadRecordsLenient(r io.Reader) (recs []Record, truncated bool, err error) {

@@ -11,54 +11,23 @@ import (
 // JSONL writes one JSON document per line — the run-log format emitted
 // by core's trace observer and consumed by internal/exp and the CLIs.
 // Emit is safe for concurrent use (island engines log from several
-// goroutines); output is buffered, so call Flush (or Close) before
-// reading the underlying file — or enable AutoFlush to push every event
-// as it is written.
+// goroutines) and unbuffered: each event reaches the writer in one
+// Write, so an abruptly killed process (SIGKILL, OOM) loses at most the
+// line being written.
 type JSONL struct {
-	mu    sync.Mutex
-	bw    *bufio.Writer
-	enc   *json.Encoder
-	c     io.Closer
-	auto  bool
-	fault func() error
+	mu sync.Mutex
+	w  io.Writer
+	c  io.Closer
 }
 
 // NewJSONL wraps w in a line-oriented JSON emitter. If w is also an
 // io.Closer, Close will close it.
 func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriter(w)
-	j := &JSONL{bw: bw, enc: json.NewEncoder(bw)}
+	j := &JSONL{w: w}
 	if c, ok := w.(io.Closer); ok {
 		j.c = c
 	}
 	return j
-}
-
-// AutoFlush toggles flush-per-event. With it on, an abruptly killed
-// process (SIGKILL, OOM) loses at most the line being written — the
-// durability mode trace observers use, since one small write per
-// generation is noise next to a generation's evaluation cost. It
-// returns j for chaining.
-func (j *JSONL) AutoFlush(on bool) *JSONL {
-	if j != nil {
-		j.mu.Lock()
-		j.auto = on
-		j.mu.Unlock()
-	}
-	return j
-}
-
-// SetFault installs (or, with nil, clears) a fault hook consulted at
-// the top of every Emit; a non-nil return drops the event with that
-// error before anything reaches the writer. Lets fault-injection runs
-// exercise a failing trace sink without a broken io.Writer stand-in.
-func (j *JSONL) SetFault(h func() error) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.fault = h
-	j.mu.Unlock()
 }
 
 // Emit appends v as one JSON line. A nil emitter ignores the event.
@@ -66,44 +35,22 @@ func (j *JSONL) Emit(v any) error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.fault != nil {
-		if err := j.fault(); err != nil {
-			return err
-		}
-	}
-	if err := j.enc.Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		return err
 	}
-	if j.auto {
-		return j.bw.Flush()
-	}
-	return nil
-}
-
-// Flush pushes buffered lines to the underlying writer.
-func (j *JSONL) Flush() error {
-	if j == nil {
-		return nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.bw.Flush()
+	_, err = j.w.Write(append(b, '\n'))
+	return err
 }
 
-// Close flushes and closes the underlying writer when it is closable.
+// Close closes the underlying writer when it is closable.
 func (j *JSONL) Close() error {
-	if j == nil {
+	if j == nil || j.c == nil {
 		return nil
 	}
-	if err := j.Flush(); err != nil {
-		return err
-	}
-	if j.c != nil {
-		return j.c.Close()
-	}
-	return nil
+	return j.c.Close()
 }
 
 // DecodeLines parses a JSONL stream, invoking fn on every non-empty

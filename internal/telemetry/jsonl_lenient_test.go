@@ -116,28 +116,34 @@ func TestDecodeLinesLenientValidFinalLineRejectedByFn(t *testing.T) {
 	}
 }
 
-// TestJSONLSetFault: an installed fault hook drops events with its
-// error before they reach the writer; clearing it restores emission.
-func TestJSONLSetFault(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONL(&buf).AutoFlush(true)
-	boom := errors.New("sink down")
-	j.SetFault(func() error { return boom })
-	if err := j.Emit(map[string]int{"i": 1}); !errors.Is(err, boom) {
-		t.Fatalf("Emit = %v, want the injected error", err)
+// failEvery is an io.Writer whose every nth Write fails.
+type failEvery struct {
+	n, calls int
+	buf      bytes.Buffer
+}
+
+func (w *failEvery) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls%w.n == 0 {
+		return 0, errors.New("sink down")
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("faulted emit wrote %d bytes", buf.Len())
+	return w.buf.Write(p)
+}
+
+// TestJSONLWriteErrorIsPerEvent: a failed write loses only its own
+// event; the next Emit writes through again.
+func TestJSONLWriteErrorIsPerEvent(t *testing.T) {
+	w := &failEvery{n: 2}
+	j := NewJSONL(w)
+	for i := 0; i < 4; i++ {
+		err := j.Emit(map[string]int{"i": i})
+		if failed := i%2 == 1; failed != (err != nil) {
+			t.Fatalf("emit %d: err = %v", i, err)
+		}
 	}
-	j.SetFault(nil)
-	if err := j.Emit(map[string]int{"i": 2}); err != nil {
-		t.Fatal(err)
+	if got, want := w.buf.String(), "{\"i\":0}\n{\"i\":2}\n"; got != want {
+		t.Fatalf("sink holds %q, want %q", got, want)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("cleared fault hook still suppressing writes")
-	}
-	var nilJ *JSONL
-	nilJ.SetFault(func() error { return boom }) // must not panic
 }
 
 func TestDecodeLinesBlankAndCRLF(t *testing.T) {
@@ -148,12 +154,12 @@ func TestDecodeLinesBlankAndCRLF(t *testing.T) {
 	}
 }
 
-// TestJSONLAutoFlush: with AutoFlush on, every emitted event is visible
-// in the sink without Flush — so a kill between generations loses
-// nothing already emitted.
+// TestJSONLAutoFlush: every emitted event is visible in the sink as
+// soon as Emit returns — so a kill between generations loses nothing
+// already emitted.
 func TestJSONLAutoFlush(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJSONL(&buf).AutoFlush(true)
+	j := NewJSONL(&buf)
 	for i := 0; i < 3; i++ {
 		if err := j.Emit(map[string]int{"i": i}); err != nil {
 			t.Fatal(err)
@@ -162,23 +168,8 @@ func TestJSONLAutoFlush(t *testing.T) {
 			t.Fatalf("after emit %d the sink holds %d lines", i, got)
 		}
 	}
-	// Default (no AutoFlush): buffered until Flush.
-	var buf2 bytes.Buffer
-	j2 := NewJSONL(&buf2)
-	if err := j2.Emit(map[string]int{"i": 0}); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.Len() != 0 {
-		t.Fatal("unflushed emitter wrote through")
-	}
-	if err := j2.Flush(); err != nil || buf2.Len() == 0 {
-		t.Fatalf("flush failed: %v", err)
-	}
 	var nilJ *JSONL
-	if nilJ.AutoFlush(true) != nil || nilJ.Emit(1) != nil {
+	if nilJ.Emit(1) != nil || nilJ.Close() != nil {
 		t.Fatal("nil emitter must no-op")
-	}
-	if errors.Is(nilJ.Close(), errors.New("x")) {
-		t.Fatal("unreachable")
 	}
 }

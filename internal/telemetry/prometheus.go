@@ -1,8 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,30 +20,25 @@ type PromTarget struct {
 }
 
 // WritePrometheus renders the targets in the Prometheus text exposition
-// format (version 0.0.4), hand-rolled over Registry.Snapshot — no
-// client library involved:
-//
-//   - counters      → TYPE counter
-//   - gauges        → TYPE gauge
-//   - timers        → TYPE summary: <name>_seconds_count / _seconds_sum
-//   - histograms    → TYPE histogram: cumulative <name>_bucket{le=...},
-//     an explicit le="+Inf" bucket, <name>_sum and <name>_count
-//
-// Metric names are sanitized to [a-zA-Z0-9_:] and label values escaped
-// per the format spec. Families are emitted in sorted name order with
-// exactly one HELP/TYPE header each, so output is deterministic and
-// scrapes cleanly.
+// format (version 0.0.4): WriteFamilies over Families(targets...).
 func WritePrometheus(w io.Writer, targets ...PromTarget) error {
-	type series struct {
-		target PromTarget
-		value  any
-	}
-	families := map[string]*struct {
-		orig string
-		kind string
-		ss   []series
-	}{}
-	names := []string{}
+	return WriteFamilies(w, Families(targets...))
+}
+
+// Families converts the targets' registries, hand-rolled over
+// Registry.Snapshot, into the family model — exactly what ParseFamilies
+// reads back from WritePrometheus's text, without the text:
+//
+//   - counters      → counter
+//   - gauges        → gauge
+//   - timers        → summary <name>_seconds (Count, Sum in seconds)
+//   - histograms    → histogram (cumulative Buckets over finite Bounds)
+//
+// Metric and label names are sanitized to the exposition grammar.
+// Families come back sorted by name with their series sorted by labels;
+// a name claimed by two incompatible kinds keeps the first.
+func Families(targets ...PromTarget) []Family {
+	fams := map[string]*Family{}
 	for _, t := range targets {
 		snap := t.Registry.Snapshot()
 		keys := make([]string, 0, len(snap))
@@ -51,98 +46,56 @@ func WritePrometheus(w io.Writer, targets ...PromTarget) error {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		var labels map[string]string
+		if len(t.Labels) > 0 {
+			labels = make(map[string]string, len(t.Labels))
+			for k, v := range t.Labels {
+				labels[promLabelName(k)] = v
+			}
+		}
 		for _, k := range keys {
-			v := snap[k]
-			kind := promKind(v)
-			if kind == "" {
+			s := Series{Labels: labels}
+			var kind, suffix string
+			switch v := snap[k].(type) {
+			case int64:
+				kind, s.Value = "counter", float64(v)
+			case float64:
+				kind, s.Value = "gauge", v
+			case map[string]int64:
+				kind, suffix = "summary", "_seconds"
+				s.Count, s.Sum = float64(v["count"]), float64(v["total_ns"])/1e9
+			case HistSnapshot:
+				kind = "histogram"
+				s.Bounds = append([]float64(nil), v.Bounds...)
+				s.Buckets = make([]float64, len(v.Bounds))
+				cum := int64(0)
+				for i := range v.Bounds {
+					cum += v.Counts[i]
+					s.Buckets[i] = float64(cum)
+				}
+				s.Count, s.Sum = float64(v.Count), v.Sum
+			default:
 				continue
 			}
-			full := promName(t.Name + "_" + k)
-			if kind == "summary" {
-				full += "_seconds"
-			}
-			fam, ok := families[full]
+			name := promName(t.Name+"_"+k) + suffix
+			f, ok := fams[name]
 			if !ok {
-				fam = &struct {
-					orig string
-					kind string
-					ss   []series
-				}{orig: t.Name + "/" + k, kind: kind}
-				families[full] = fam
-				names = append(names, full)
+				f = &Family{Name: name, Help: "CARBON metric " + t.Name + "/" + k + ".", Kind: kind}
+				fams[name] = f
 			}
-			if fam.kind != kind {
+			if f.Kind != kind {
 				continue // name collision across incompatible kinds: keep the first
 			}
-			fam.ss = append(fam.ss, series{target: t, value: v})
+			f.Series = append(f.Series, s)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		fam := families[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s CARBON metric %s.\n# TYPE %s %s\n",
-			name, promEscapeHelp(fam.orig), name, fam.kind); err != nil {
-			return err
-		}
-		for _, s := range fam.ss {
-			if err := writePromSeries(w, name, s.target.Labels, s.value); err != nil {
-				return err
-			}
-		}
+	out := make([]Family, 0, len(fams))
+	for _, f := range fams {
+		sortSeries(f.Series)
+		out = append(out, *f)
 	}
-	return nil
-}
-
-// promKind maps a Snapshot value onto its exposition type.
-func promKind(v any) string {
-	switch v.(type) {
-	case int64:
-		return "counter"
-	case float64:
-		return "gauge"
-	case map[string]int64:
-		return "summary"
-	case HistSnapshot:
-		return "histogram"
-	}
-	return ""
-}
-
-func writePromSeries(w io.Writer, name string, labels map[string]string, v any) error {
-	lbl := promLabels(labels)
-	switch x := v.(type) {
-	case int64:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, lbl, x)
-		return err
-	case float64:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, lbl, promFloat(x))
-		return err
-	case map[string]int64:
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, lbl, x["count"]); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(float64(x["total_ns"])/1e9))
-		return err
-	case HistSnapshot:
-		cum := int64(0)
-		for i, bound := range x.Bounds {
-			cum += x.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				name, promLabelsWith(labels, "le", promFloat(bound)), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			name, promLabelsWith(labels, "le", "+Inf"), x.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(x.Sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, lbl, x.Count)
-		return err
-	}
-	return nil
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
 }
 
 // promName sanitizes a dotted instrument name into the exposition
@@ -245,4 +198,13 @@ func promEscapeHelp(s string) string {
 
 func promFloat(x float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64)
+}
+
+// promCount renders an integral count as a plain integer ("1234567",
+// never "1.234567e+06"); anything else falls back to promFloat.
+func promCount(x float64) string {
+	if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
+		return strconv.FormatInt(int64(x), 10)
+	}
+	return promFloat(x)
 }

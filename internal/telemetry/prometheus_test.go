@@ -3,6 +3,7 @@ package telemetry
 import (
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,7 +13,8 @@ import (
 
 // TestPrometheusGoldenFormat pins the exposition format byte-for-byte:
 // HELP/TYPE headers, name sanitization, sorted families, label
-// escaping, summary and histogram encodings.
+// escaping, summary and histogram encodings. Parsing that text back
+// must give exactly the direct conversion, Families.
 func TestPrometheusGoldenFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("core.generations").Add(42)
@@ -24,13 +26,13 @@ func TestPrometheusGoldenFormat(t *testing.T) {
 	h.Observe(3)
 	h.Observe(100)
 
-	var b strings.Builder
-	err := WritePrometheus(&b, PromTarget{
+	target := PromTarget{
 		Name:     "carbon",
 		Labels:   map[string]string{"job": `j1"x\y` + "\n"},
 		Registry: reg,
-	})
-	if err != nil {
+	}
+	var b strings.Builder
+	if err := WritePrometheus(&b, target); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP carbon_bcpop_cost CARBON metric carbon/bcpop.cost.
@@ -54,6 +56,13 @@ carbon_par_occupancy{job="j1\"x\\y\n"} 0.75
 `
 	if b.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
+	}
+	parsed, err := ParseFamilies(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct := Families(target); !reflect.DeepEqual(parsed, direct) {
+		t.Fatalf("parsed exposition != Families:\n--- parsed ---\n%+v\n--- direct ---\n%+v", parsed, direct)
 	}
 }
 

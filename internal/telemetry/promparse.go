@@ -11,10 +11,10 @@ import (
 
 // Family is one metric family parsed from (or destined for) the
 // Prometheus text exposition format — the wire model of metrics
-// federation. WritePrometheus renders registries straight to text for
-// a single process; a federating router instead parses each worker's
-// text into []Family (ParseFamilies), merges them (Merge) and renders
-// the aggregate (WriteFamilies). The JSON tags make a Family set
+// federation. Families converts local registries into it; a federating
+// router also parses each worker's text into []Family (ParseFamilies),
+// merges them all (Merge) and renders the aggregate (WriteFamilies), the
+// same renderer WritePrometheus uses. The JSON tags make a Family set
 // directly servable as the /v1/fleet/metrics rollup.
 type Family struct {
 	Name   string   `json:"name"`
@@ -133,11 +133,15 @@ func ParseFamilies(r io.Reader) ([]Family, error) {
 				if !hasLE {
 					return nil, fmt.Errorf("telemetry: prom line %d: bucket sample without le", lineNo)
 				}
-				rest := make(map[string]string, len(labels)-1)
+				var rest map[string]string
 				for k, v := range labels {
-					if k != "le" {
-						rest[k] = v
+					if k == "le" {
+						continue
 					}
+					if rest == nil {
+						rest = make(map[string]string, len(labels)-1)
+					}
+					rest[k] = v
 				}
 				s := series(f, rest)
 				if le == "+Inf" {
@@ -307,10 +311,10 @@ func unescapeHelp(s string) string {
 	return strings.ReplaceAll(s, `\\`, `\`)
 }
 
-// WriteFamilies renders families in the text exposition format,
-// matching WritePrometheus byte conventions (one HELP/TYPE header per
-// family, sorted series, escaped labels) so federated output scrapes
-// exactly like first-party output.
+// WriteFamilies renders families in the text exposition format: one
+// HELP/TYPE header per family, sorted series, escaped labels, counts as
+// integers. It is the one renderer, so federated output scrapes exactly
+// like first-party output.
 func WriteFamilies(w io.Writer, fams []Family) error {
 	sorted := append([]Family(nil), fams...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Name < sorted[b].Name })
@@ -344,24 +348,27 @@ func writeFamilySeries(w io.Writer, name, kind string, s Series) error {
 	case "histogram":
 		for i, bound := range s.Bounds {
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n",
-				name, promLabelsWith(s.Labels, "le", promFloat(bound)), promFloat(s.Buckets[i])); err != nil {
+				name, promLabelsWith(s.Labels, "le", promFloat(bound)), promCount(s.Buckets[i])); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n",
-			name, promLabelsWith(s.Labels, "le", "+Inf"), promFloat(s.Count)); err != nil {
+			name, promLabelsWith(s.Labels, "le", "+Inf"), promCount(s.Count)); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(s.Sum)); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promFloat(s.Count))
+		_, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promCount(s.Count))
 		return err
 	case "summary":
-		if _, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promFloat(s.Count)); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promCount(s.Count)); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(s.Sum))
+		return err
+	case "counter":
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, lbl, promCount(s.Value))
 		return err
 	default:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, lbl, promFloat(s.Value))

@@ -2,11 +2,7 @@ package telemetry
 
 import (
 	"expvar"
-	"fmt"
-	"io"
-	"sort"
 	"sync"
-	"time"
 )
 
 // Registry is a named collection of instruments. Lookup is
@@ -123,33 +119,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// WriteText renders the snapshot as sorted "name value" lines — the
-// human-readable dump used by tests and end-of-run summaries.
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		var err error
-		switch v := snap[name].(type) {
-		case map[string]int64:
-			_, err = fmt.Fprintf(w, "%s count=%d total=%v mean=%v\n", name,
-				v["count"], time.Duration(v["total_ns"]), time.Duration(v["mean_ns"]))
-		case HistSnapshot:
-			_, err = fmt.Fprintf(w, "%s count=%d sum=%g\n", name, v.Count, v.Sum)
-		default:
-			_, err = fmt.Fprintf(w, "%s %v\n", name, v)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PublishExpvar exposes the registry under the given expvar name (as a

@@ -109,7 +109,7 @@ func TestConcurrentUpdatesFromWorkers(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndWriteText(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("a").Add(7)
 	reg.Timer("b").Observe(time.Millisecond)
@@ -120,16 +120,6 @@ func TestSnapshotAndWriteText(t *testing.T) {
 	}
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"a 7", "b count=1", "h count=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteText missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -144,9 +134,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if err := j.Emit(ev{K: "gen", N: i}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	var got []ev
 	err := telemetry.DecodeLines(&buf, func(raw json.RawMessage) error {

@@ -28,8 +28,8 @@ type Run struct {
 	Done       *core.DoneStats
 }
 
-// Key is the run's identity inside a multiplexed trace, matching
-// exp.TraceFigure's convention.
+// Key is the run's identity inside a multiplexed trace: its label and
+// island index.
 func (r *Run) Key() string { return fmt.Sprintf("%s#%d", r.Label, r.Island) }
 
 // HasSearch reports whether any generation carries a v2 search block.

@@ -323,9 +323,6 @@ func TestRoundTripFromObserver(t *testing.T) {
 		{ID: 5, Op: "init"},
 	}
 	obs.OnDone(&core.Result{Label: "rt", Gens: 2, Ancestry: ancestry})
-	if err := obs.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	f, err := Load(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
