@@ -1,8 +1,10 @@
 # Developer entry points. Everything is stdlib Go; no tool dependencies.
+# `make check` is the pre-commit gate; `make fuzz` runs the evaluator's
+# fuzz targets for 10 s each and is not part of `check`.
 
 GO ?= go
 
-.PHONY: all build vet lint test race check cover bench-smoke bench-module bench-all quick full taxonomy examples smoke serve-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
+.PHONY: all build vet lint test race check cover fuzz bench-smoke bench-module bench-all quick full taxonomy examples smoke serve-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
 
 all: build vet test
 
@@ -38,6 +40,17 @@ race:
 
 cover:
 	$(GO) test -cover ./...
+
+# Differential fuzzing of the GP evaluator, 10 s per target: the lane
+# VM against the tree walker (FuzzCompiledEval), the exact fmod against
+# math.Mod (FuzzMod) and the S-expression parser (FuzzParse). go test
+# fuzzes one target per invocation. Not part of `check`; the seed
+# corpora already run as ordinary tests there.
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime 10s ./internal/gp/
+	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 10s ./internal/gp/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/gp/
 
 # One-iteration pass over every benchmark under internal/: proves each
 # still runs, without paying for measurement, and fails when any does.

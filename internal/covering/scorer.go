@@ -67,27 +67,35 @@ func (ts *TreeScorer) Score(tree gp.Tree, scores []float64) {
 	}
 }
 
+// scoreBlock is how many items ScoreProgramInto evaluates per VM pass:
+// the lane width, so the VM's operand stack is at most depth × 128
+// floats.
+const scoreBlock = 128
+
 // ScoreProgramInto is Score for a compiled tree, in the allocation-free
-// form the evaluation hot path uses: no scorer object, the environment
-// scratch lives on the caller's stack, and the VM's operand stack is
-// reused across calls. The VM reproduces gp.Tree.Eval bit for bit, so
-// the scores are bit-identical to Score on the program's source tree. One compiled predator is swept across all M×N
-// (item, service) pairs of a prepared context in a single batched pass.
+// form the evaluation hot path uses: no scorer object, and the VM's
+// operand stack is reused across calls. Items are the VM's lanes. For
+// each block of up to scoreBlock items and each service k in ascending
+// order, the program runs once over the block — c, qᵏ and x̄ are
+// contiguous per-item vectors (Q is row-major), bᵏ and d_k broadcast —
+// and each item's value is added into its score. Every item's sum
+// therefore runs 0 + v₀ + v₁ + … in ascending k exactly as in Score,
+// and the VM reproduces gp.Tree.Eval bit for bit per lane, so the
+// scores are bit-identical to Score on the program's source tree.
 func ScoreProgramInto(in *Instance, rx *Relaxation, vm *gp.VM, p *gp.Program, scores []float64) {
-	var env [EnvLen]float64
-	n := in.N()
-	for j := range scores {
-		col := in.Cols[j]
-		env[0] = in.C[j]
-		env[4] = rx.XBar[j]
-		total := 0.0
-		for k := 0; k < n; k++ {
-			env[1] = col[k]
-			env[2] = in.B[k]
-			env[3] = rx.Dual[k]
-			total += vm.Eval(p, env[:])
+	for j0 := 0; j0 < len(scores); j0 += scoreBlock {
+		j1 := min(j0+scoreBlock, len(scores))
+		out := scores[j0:j1]
+		clear(out)
+		env := [EnvLen]gp.Term{0: {V: in.C[j0:j1]}, 4: {V: rx.XBar[j0:j1]}}
+		for k, b := range in.B {
+			env[1].V = in.Q[k][j0:j1]
+			env[2].S = b
+			env[3].S = rx.Dual[k]
+			for i, v := range vm.EvalLanes(p, env[:], len(out)) {
+				out[i] += v
+			}
 		}
-		scores[j] = total
 	}
 }
 

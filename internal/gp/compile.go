@@ -1,23 +1,26 @@
-// Tree compiler and bytecode VM (DESIGN.md §5j).
+// Tree compiler and lane VM (DESIGN.md §5j).
 //
 // Tree.Eval walks the flat prefix encoding backwards with a value
 // stack; the scan order is a pure function of the tree, so it can be
 // recorded once and replayed without re-decoding nodes. Compile lowers
 // a validated tree into exactly that instruction sequence — flat
-// postfix bytecode with an inline constant pool — and VM replays it
-// against any number of environment vectors with caller-owned scratch.
-// Steady-state evaluation allocates nothing: the interpreter zeroes a
-// 4KiB operand array per call, the VM reuses a slice sized to the
-// program's real high-water mark.
+// postfix bytecode with an inline constant pool. The VM runs it over
+// lanes: every operand-stack slot is a vector with one value per
+// lane, so one dispatch per instruction serves a whole block of
+// environments (the scorer's items), and each terminal is either a
+// per-lane vector or a scalar broadcast to all lanes. The VM owns its
+// stack and reuses it, so steady-state evaluation allocates nothing.
 //
-// Determinism: the VM executes the same float64 operations in the same
-// order as Tree.Eval — Table I operators are specialized to dedicated
-// opcodes whose bodies are copies of the builtin functions (same
-// protected-division/modulo epsilon and fallback), custom operators
-// fall back to calling the Op function itself, intermediate NaN/±Inf
-// values propagate untouched, and only the root value collapses NaN to
-// 0 exactly like Eval. Results are therefore bit-identical to the
-// interpreter (FuzzCompiledEval proves it differentially).
+// Determinism: each lane executes the same float64 operations in the
+// same order as Tree.Eval on its own environment — Table I operators
+// are specialized to dedicated opcodes whose bodies are copies of the
+// builtin functions (same protected-division/modulo epsilon and
+// fallback, the same fmod), custom operators fall back to calling the
+// Op function itself, intermediate NaN/±Inf values propagate untouched,
+// and only each lane's root value collapses NaN to 0 exactly like Eval.
+// Lanes never read each other's values. Results are therefore
+// bit-identical to the interpreter (FuzzCompiledEval proves it
+// differentially).
 package gp
 
 import (
@@ -169,10 +172,10 @@ func (p *Program) Compile(s *Set, t Tree) error {
 	return nil
 }
 
-// VM executes compiled programs. It owns the operand stack, so it is
-// not safe for concurrent use — create one per worker and reuse it;
-// after the stack grows to the largest program seen, evaluation
-// allocates nothing.
+// VM executes compiled programs over lanes. It owns the operand
+// stack, so it is not safe for concurrent use — create one per worker
+// and reuse it; after the stack grows to the largest depth × width
+// seen, evaluation allocates nothing.
 type VM struct {
 	stack []float64
 }
@@ -180,86 +183,130 @@ type VM struct {
 // NewVM returns an empty VM; the operand stack grows on first use.
 func NewVM() *VM { return &VM{} }
 
-// Eval executes the program against one environment vector, whose
-// layout must match the terminal set the program was compiled over.
-// The result is bit-identical to Tree.Eval on the source tree: same
-// operation order, same protected-operator semantics, same root-only
-// NaN→0 sanitization.
-func (vm *VM) Eval(p *Program, env []float64) float64 {
+// Term binds one terminal across the lanes of EvalLanes: V holds one
+// value per lane, or, when V is nil, S is broadcast to every lane.
+type Term struct {
+	V []float64
+	S float64
+}
+
+// EvalLanes executes the program once over n lanes, lane i reading
+// terminal t as env[t].V[i] (or the broadcast env[t].S), and returns
+// the n root values. env must bind every terminal of the set the
+// program was compiled over. Each lane's value is bit-identical to
+// Tree.Eval on that lane's environment: same operation order, same
+// protected-operator semantics, same NaN→0 applied to the root value
+// only. The returned slice aliases the VM's stack and is valid until
+// the next call.
+func (vm *VM) EvalLanes(p *Program, env []Term, n int) []float64 {
 	if len(p.code) == 0 {
 		panic("gp: evaluating an empty program")
 	}
 	if len(env) < p.terms {
 		panic(fmt.Sprintf("gp: environment length %d below program requirement %d", len(env), p.terms))
 	}
-	if cap(vm.stack) < p.depth {
-		vm.stack = make([]float64, p.depth)
+	for t := range env[:p.terms] {
+		if v := env[t].V; v != nil && len(v) < n {
+			panic(fmt.Sprintf("gp: terminal %d has %d lanes, want %d", t, len(v), n))
+		}
 	}
-	return vm.run(p, env)
-}
-
-// run is the dispatch loop; callers have validated env and stack
-// capacity.
-func (vm *VM) run(p *Program, env []float64) float64 {
-	st := vm.stack[:cap(vm.stack)]
-	top := -1
+	need := p.depth * n
+	if cap(vm.stack) < need {
+		vm.stack = make([]float64, need)
+	}
+	// Operand slot s occupies st[s*n : (s+1)*n]; top is the offset one
+	// past the top slot.
+	st := vm.stack[:need]
+	top := 0
 	for _, ins := range p.code {
 		switch ins.op {
 		case opTerm:
-			top++
-			st[top] = env[ins.idx]
-		case opConst:
-			top++
-			st[top] = ins.val
-		case opAdd:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a + b
-		case opSub:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a - b
-		case opMul:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = a * b
-		case opDivP:
-			a, b := st[top], st[top-1]
-			top--
-			if math.Abs(b) < protEps {
-				st[top] = 1
+			dst := st[top : top+n]
+			top += n
+			if t := &env[ins.idx]; t.V != nil {
+				copy(dst, t.V)
 			} else {
-				st[top] = a / b
+				fill(dst, t.S)
+			}
+			continue
+		case opConst:
+			fill(st[top:top+n], ins.val)
+			top += n
+			continue
+		case opNeg:
+			x := st[top-n : top]
+			for i, v := range x {
+				x[i] = -v
+			}
+			continue
+		case opCall1:
+			f, x := p.ops[ins.idx].F1, st[top-n:top]
+			for i, v := range x {
+				x[i] = f(v)
+			}
+			continue
+		}
+		// Binary: a is the top operand (the left one, as in Tree.Eval),
+		// b the one below it, which receives the result.
+		top -= n
+		a := st[top : top+n]
+		b := st[top-n : top][:len(a)]
+		switch ins.op {
+		case opAdd:
+			for i, av := range a {
+				b[i] = av + b[i]
+			}
+		case opSub:
+			for i, av := range a {
+				b[i] = av - b[i]
+			}
+		case opMul:
+			for i, av := range a {
+				b[i] = av * b[i]
+			}
+		case opDivP:
+			for i, av := range a {
+				if bv := b[i]; math.Abs(bv) < protEps {
+					b[i] = 1
+				} else {
+					b[i] = av / bv
+				}
 			}
 		case opModP:
-			a, b := st[top], st[top-1]
-			top--
-			if math.Abs(b) < protEps {
-				st[top] = 1
-			} else {
-				st[top] = math.Mod(a, b)
+			for i, av := range a {
+				if bv := b[i]; math.Abs(bv) < protEps {
+					b[i] = 1
+				} else {
+					b[i] = fmod(av, bv)
+				}
 			}
 		case opMin:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = math.Min(a, b)
+			for i, av := range a {
+				b[i] = math.Min(av, b[i])
+			}
 		case opMax:
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = math.Max(a, b)
-		case opNeg:
-			st[top] = -st[top]
-		case opCall1:
-			st[top] = p.ops[ins.idx].F1(st[top])
+			for i, av := range a {
+				b[i] = math.Max(av, b[i])
+			}
 		default: // opCall2
-			a, b := st[top], st[top-1]
-			top--
-			st[top] = p.ops[ins.idx].F2(a, b)
+			f := p.ops[ins.idx].F2
+			for i, av := range a {
+				b[i] = f(av, b[i])
+			}
 		}
 	}
-	v := st[0]
-	if math.IsNaN(v) {
-		return 0
+	root := st[:n]
+	for i, v := range root {
+		if math.IsNaN(v) {
+			root[i] = 0
+		}
 	}
-	return v
+	return root
+}
+
+// fill sets every element of dst to v.
+func fill(dst []float64, v float64) {
+	for i := range dst {
+		dst[i] = v
+	}
 }

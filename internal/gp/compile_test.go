@@ -30,6 +30,55 @@ func mustCompile(t *testing.T, s *Set, src string) (Tree, *Program) {
 	return tr, p
 }
 
+// evalOne runs p at lane width 1: every terminal is a one-lane vector
+// over env.
+func evalOne(vm *VM, p *Program, env []float64) float64 {
+	var buf [8]Term
+	terms := buf[:len(env)]
+	for i := range terms {
+		terms[i].V = env[i : i+1]
+	}
+	return vm.EvalLanes(p, terms, 1)[0]
+}
+
+// checkLanes runs p once over len(envs) lanes, lane i reading envs[i],
+// except that every terminal t with bcast[t] set is broadcast as the
+// scalar envs[0][t]. Each lane must return the bits the interpreter
+// returns on that lane's own environment.
+func checkLanes(t *testing.T, s *Set, tr Tree, p *Program, vm *VM, envs [][]float64, bcast []bool) {
+	t.Helper()
+	terms := make([]Term, len(s.Terms))
+	lanes := make([][]float64, len(envs))
+	for i, env := range envs {
+		lanes[i] = append([]float64(nil), env...)
+	}
+	for k := range terms {
+		if bcast[k] {
+			terms[k].S = envs[0][k]
+			for _, env := range lanes {
+				env[k] = envs[0][k]
+			}
+			continue
+		}
+		terms[k].V = make([]float64, len(envs))
+		for i, env := range lanes {
+			terms[k].V[i] = env[k]
+		}
+	}
+	got := vm.EvalLanes(p, terms, len(envs))
+	if len(got) != len(envs) {
+		t.Fatalf("%s: %d lanes in, %d values out", tr.String(s), len(envs), len(got))
+	}
+	for i, env := range lanes {
+		want := tr.Eval(s, env)
+		if math.Float64bits(want) != math.Float64bits(got[i]) {
+			t.Fatalf("%s, lane %d of %d on %v (broadcast %v): interpreter %v (%x), VM %v (%x)",
+				tr.String(s), i, len(envs), env, bcast,
+				want, math.Float64bits(want), got[i], math.Float64bits(got[i]))
+		}
+	}
+}
+
 func TestCompiledMatchesInterpreterOnFixtures(t *testing.T) {
 	s := compileSet()
 	vm := NewVM()
@@ -58,12 +107,16 @@ func TestCompiledMatchesInterpreterOnFixtures(t *testing.T) {
 		}
 		for _, env := range envs {
 			want := tr.Eval(s, env)
-			got := vm.Eval(p, env)
+			got := evalOne(vm, p, env)
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Errorf("%q on %v: interpreter %v (%x), VM %v (%x)",
 					src, env, want, math.Float64bits(want), got, math.Float64bits(got))
 			}
 		}
+		// All environments side by side as lanes, then again with the
+		// scorer's broadcast pattern (b and d shared by every lane).
+		checkLanes(t, s, tr, p, vm, envs, []bool{false, false, false, false, false})
+		checkLanes(t, s, tr, p, vm, envs, []bool{false, false, true, true, false})
 	}
 }
 
@@ -80,13 +133,16 @@ func TestCompileCustomOpsFallBackToCalls(t *testing.T) {
 	}
 	tr, p := mustCompile(t, s, "(+ (sq u) (hyp u v))")
 	vm := NewVM()
-	for _, env := range [][]float64{{3, 4}, {-1, 1e154}, {math.NaN(), 2}} {
+	envs := [][]float64{{3, 4}, {-1, 1e154}, {math.NaN(), 2}}
+	for _, env := range envs {
 		want := tr.Eval(s, env)
-		got := vm.Eval(p, env)
+		got := evalOne(vm, p, env)
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("env %v: interpreter %v, VM %v", env, want, got)
 		}
 	}
+	checkLanes(t, s, tr, p, vm, envs, []bool{false, false})
+	checkLanes(t, s, tr, p, vm, envs, []bool{false, true})
 }
 
 func TestProgramRecompileReusesStorage(t *testing.T) {
@@ -101,7 +157,7 @@ func TestProgramRecompileReusesStorage(t *testing.T) {
 			t.Fatalf("recompile %d: %v", i, err)
 		}
 		want := tr.Eval(s, env)
-		got := vm.Eval(&p, env)
+		got := evalOne(vm, &p, env)
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("recompile %d: interpreter %v, VM %v", i, want, got)
 		}
@@ -145,7 +201,7 @@ func TestOversizeTreeRejected(t *testing.T) {
 	}
 	env := []float64{1, 2, 3, 4, 5}
 	want := ok.Eval(s, env)
-	if got := NewVM().Eval(p, env); math.Float64bits(got) != math.Float64bits(want) {
+	if got := evalOne(NewVM(), p, env); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("deep tree: interpreter %v, VM %v", want, got)
 	}
 	// A hand-built oversize Tree value (bypassing Parse) must fail
@@ -179,31 +235,46 @@ func TestCompileRejectsMalformedTrees(t *testing.T) {
 	}
 }
 
+// The lane path allocates nothing once the stack has grown, at width 1
+// and at the scorer's block width, with vector and broadcast terminals.
 func TestVMEvalZeroAlloc(t *testing.T) {
 	s := compileSet()
-	tr, p := mustCompile(t, s, "(* (+ c (% q d)) (- b (mod x c)))")
+	_, p := mustCompile(t, s, "(* (+ c (% q d)) (- b (mod x c)))")
 	vm := NewVM()
 	env := []float64{1, 2, 3, 4, 5}
-	vm.Eval(p, env) // grow the stack once
-	allocs := testing.AllocsPerRun(200, func() {
-		vm.Eval(p, env)
-	})
-	if allocs != 0 {
-		t.Fatalf("VM.Eval allocates %v per call, want 0", allocs)
+	evalOne(vm, p, env) // grow the stack once
+	if allocs := testing.AllocsPerRun(200, func() { evalOne(vm, p, env) }); allocs != 0 {
+		t.Fatalf("EvalLanes at width 1 allocates %v per call, want 0", allocs)
 	}
-	_ = tr
+	const width = 128
+	vec := make([]float64, width)
+	for i := range vec {
+		vec[i] = float64(i) - 40.5
+	}
+	terms := []Term{{V: vec}, {V: vec}, {S: 3}, {S: -4}, {V: vec}}
+	vm.EvalLanes(p, terms, width)
+	if allocs := testing.AllocsPerRun(200, func() { vm.EvalLanes(p, terms, width) }); allocs != 0 {
+		t.Fatalf("EvalLanes at width %d allocates %v per call, want 0", width, allocs)
+	}
 }
 
-// FuzzCompiledEval is the differential fuzz of the tentpole contract:
-// for any valid tree and any environment — including NaN, ±Inf and
-// protected-division edge cases — the compiled VM must return the
-// bit-identical float64 the interpreter returns.
+// FuzzCompiledEval is the differential fuzz of the VM contract: for
+// any valid tree and any environments — including NaN, ±Inf and
+// protected-division edge cases — every lane of the VM must return the
+// bit-identical float64 the interpreter returns on that lane's
+// environment. The lanes differ on purpose: NaN in one lane only, ±Inf,
+// denominators straddling protEps, signed zeros, and the fuzzed values
+// in both orders, so a NaN→0 fix-up or any other value leaking across
+// lanes, or a dependence on lane order, fails. The high seed bits pick
+// which terminals are broadcast rather than per-lane.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add(uint64(1), 1.0, 2.0, 3.0, 4.0, 5.0)
 	f.Add(uint64(7), math.Inf(1), math.Inf(-1), 0.0, math.Copysign(0, -1), 1e-300)
 	f.Add(uint64(3), math.NaN(), 1e308, -1e308, 1e-13, -1e-13)
 	f.Add(uint64(42), 0.5, -0.5, protEps, -protEps, 2*protEps)
+	f.Add(uint64(0xc00000000000000b), -7.25, 3.0, 1e-12, 0.0, 6.5)
 	set := compileSet()
+	below := math.Nextafter(protEps, 0)
 	f.Fuzz(func(t *testing.T, seed uint64, a, b, c, d, e float64) {
 		r := rng.New(seed)
 		tree := set.Ramped(r, 0, 6)
@@ -211,13 +282,28 @@ func FuzzCompiledEval(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid tree failed to compile: %v", err)
 		}
-		env := []float64{a, b, c, d, e}
-		want := tree.Eval(set, env)
-		vm := NewVM()
-		got := vm.Eval(prog, env)
-		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("tree %s on %v: interpreter %v (%x), VM %v (%x)",
-				tree.String(set), env, want, math.Float64bits(want), got, math.Float64bits(got))
+		base := []float64{a, b, c, d, e}
+		nan := append([]float64(nil), base...)
+		nan[seed%5] = math.NaN()
+		envs := [][]float64{
+			base,
+			nan,
+			{e, d, c, b, a},
+			{math.Inf(1), a, math.Inf(-1), b, c},
+			{protEps, -below, below, -protEps, d},
+			{0, math.Copysign(0, -1), a, 0, e},
+			{a, b, c, d, e},
 		}
+		bcast := make([]bool, len(set.Terms))
+		for k := range bcast {
+			bcast[k] = seed>>(59+k)&1 == 1
+		}
+		vm := NewVM()
+		checkLanes(t, set, tree, prog, vm, envs, bcast)
+		// Reversed lane order on the same VM: every lane still matches.
+		for i, j := 0, len(envs)-1; i < j; i, j = i+1, j-1 {
+			envs[i], envs[j] = envs[j], envs[i]
+		}
+		checkLanes(t, set, tree, prog, vm, envs, bcast)
 	})
 }

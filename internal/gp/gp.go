@@ -46,12 +46,13 @@ var (
 		}
 		return a / b
 	}}
-	// Mod is protected modulo: mod(x, 0) → 1.
+	// Mod is protected modulo: mod(x, 0) → 1. Otherwise it is the
+	// IEEE remainder, bit-identical to math.Mod (see fmod).
 	Mod = Op{Name: "mod", Arity: 2, F2: func(a, b float64) float64 {
 		if math.Abs(b) < protEps {
 			return 1
 		}
-		return math.Mod(a, b)
+		return fmod(a, b)
 	}}
 	// Neg and Min/Max are extension operators (not in Table I) used by
 	// the ablation benchmarks.

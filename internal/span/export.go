@@ -1,6 +1,7 @@
 package span
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,9 +19,11 @@ import (
 // the O_APPEND write is atomic enough that concurrent enders never
 // interleave bytes). The file is opened lazily on the first export and
 // created if absent, so constructing the exporter is free for jobs
-// that never run. Export never fails the caller: tracing is
-// observability, and a full disk must not kill a job — the first error
-// is remembered and surfaced by Close. Swallowed does not mean silent:
+// that never run. Opening an existing file whose last line is torn (a
+// SIGKILLed writer's) first cuts that line off, counted as one drop,
+// so a resumed job's records follow whole lines. Export never fails
+// the caller: tracing is observability, and a full disk must not kill
+// a job — the first error is remembered and surfaced by Close. Swallowed does not mean silent:
 // every dropped record bumps the drop counter (SetDropCounter, the
 // span.dropped_writes metric) and the first failure per file is logged,
 // so a full disk shows up in /metrics instead of only at job end.
@@ -111,10 +114,20 @@ func (e *FileExporter) Export(r Record) {
 			e.drops.Add(1)
 			return // opening failed before; stay quiet
 		}
-		f, err := os.OpenFile(e.path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		f, err := os.OpenFile(e.path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 		if err != nil {
 			e.drop(err)
 			return
+		}
+		torn, err := trimTornTail(f)
+		if err != nil {
+			f.Close()
+			e.drop(err)
+			return
+		}
+		if torn { // the killed writer's partial record is lost
+			e.dropped++
+			e.drops.Add(1)
 		}
 		e.f = f
 	}
@@ -127,6 +140,38 @@ func (e *FileExporter) Export(r Record) {
 	if _, err := e.f.Write(e.buf); err != nil {
 		e.drop(err)
 	}
+}
+
+// trimTornTail truncates f to just after its last '\n' (or to empty
+// if it has none) when its last byte is not one: the torn record a
+// killed writer leaves. Appending after it would bury the torn line
+// mid-file, where the lenient readers no longer forgive it. It reports
+// whether it cut anything.
+func trimTornTail(f *os.File) (bool, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	end := st.Size()
+	if end == 0 {
+		return false, nil
+	}
+	var buf [4096]byte
+	for off := end; off > 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		chunk := buf[:n]
+		if _, err := f.ReadAt(chunk, off); err != nil {
+			return false, err
+		}
+		if off+n == end && chunk[n-1] == '\n' {
+			return false, nil
+		}
+		if i := bytes.LastIndexByte(chunk, '\n'); i >= 0 {
+			return true, f.Truncate(off + int64(i) + 1)
+		}
+	}
+	return true, f.Truncate(0)
 }
 
 // Close closes the file and returns the first error Export swallowed.

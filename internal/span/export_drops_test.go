@@ -109,3 +109,54 @@ func TestFileExporterNilCounterSafe(t *testing.T) {
 	}
 	_ = exp.Close()
 }
+
+// A worker SIGKILLed mid-write leaves a torn last span line; the
+// revived worker must not append after it, or the torn line ends up
+// mid-file where ReadFile no longer forgives it. Reopening cuts the
+// torn tail (one counted drop) so the file reads back whole.
+func TestFileExporterTrimsTornTail(t *testing.T) {
+	var whole strings.Builder
+	tr := New(NewWriterExporter(&whole))
+	for _, name := range []string{"first", "second", "torn"} {
+		tr.Start(Context{}, name).End()
+	}
+	lines := strings.SplitAfter(whole.String(), "\n")
+	for _, tc := range []struct {
+		name, prefix string
+		want         []string
+	}{
+		{"after two records", lines[0] + lines[1] + lines[2][:len(lines[2])/2], []string{"first", "second", "revived"}},
+		{"no newline at all", lines[2][:len(lines[2])/2], []string{"revived"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "job.spans.jsonl")
+			if err := os.WriteFile(path, []byte(tc.prefix), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			exp := NewFileExporter(path)
+			exp.SetDropCounter(reg.Counter("span.dropped_writes"))
+			New(exp).Start(Context{}, "revived").End()
+			if err := exp.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			recs, truncated, err := ReadFile(path)
+			if err != nil || truncated {
+				t.Fatalf("ReadFile: %v truncated=%v", err, truncated)
+			}
+			var names []string
+			for _, r := range recs {
+				names = append(names, r.Name)
+			}
+			if strings.Join(names, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("records %v, want %v", names, tc.want)
+			}
+			if got := exp.Dropped(); got != 1 {
+				t.Fatalf("Dropped() = %d, want 1 for the torn record", got)
+			}
+			if got := reg.Counter("span.dropped_writes").Load(); got != 1 {
+				t.Fatalf("span.dropped_writes = %d, want 1", got)
+			}
+		})
+	}
+}

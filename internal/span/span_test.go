@@ -205,6 +205,9 @@ func TestFileExporterRoundTrip(t *testing.T) {
 	if err := exp2.Close(); err != nil {
 		t.Fatalf("close after reopen: %v", err)
 	}
+	if d := exp2.Dropped(); d != 0 {
+		t.Fatalf("reopening a whole file dropped %d records", d)
+	}
 	recs, _, err = ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile after append: %v", err)
