@@ -54,10 +54,14 @@ fuzz:
 
 # One-iteration pass over every benchmark under internal/: proves each
 # still runs, without paying for measurement, and fails when any does.
-# The root-package paper benchmarks (Tables III/IV, Figs 4/5, ablation,
-# taxonomy) stay out; `make bench-all` runs them. Part of `check`.
+# Of the root-package paper benchmarks only the four that run code no
+# unit test drives end to end come along (the nested and CODBA
+# baselines, the tri-level chain, core's DE and point-mutation breeding);
+# Tables III/IV and Figs 4/5 stay out, and `make bench-all` runs them.
+# Part of `check`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...
+	$(GO) test -run '^$$' -bench '^Benchmark(Taxonomy|TriLevel|AblationDEVariation|AblationPointMutation)$$' -benchtime=1x .
 
 # The repo benchmark (benchmark/, its own module) has a smoke test that
 # the root `go test ./...` does not reach; run it so a core API change

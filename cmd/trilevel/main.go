@@ -1,12 +1,13 @@
-// Command trilevel runs the tri-level pricing-chain prototype (the
-// paper's future-work direction) on a class: CSP-A prices, CSP-B reacts
-// through an evolved pricing policy, the customer reacts through an
-// evolved covering heuristic.
+// Command trilevel runs the multi-level pricing-chain prototype (the
+// paper's future-work direction) on a class: the leader prices, each of
+// the -depth middle players reacts through an evolved pricing policy,
+// and the customer reacts through an evolved covering heuristic. The
+// default depth 1 is the tri-level chain A → B → customer.
 //
 // Usage:
 //
 //	trilevel [-n 100] [-m 5] [-instance 0] [-seed 1] [-pop 24]
-//	         [-budget 6000] [-sample 2] [-curves]
+//	         [-budget 6000] [-sample 2] [-depth 1] [-curves]
 package main
 
 import (
@@ -25,9 +26,9 @@ func main() {
 		m      = flag.Int("m", 5, "number of service constraints")
 		idx    = flag.Int("instance", 0, "instance index within the class")
 		seed   = flag.Uint64("seed", 1, "run seed")
-		pop    = flag.Int("pop", 24, "population size (all three populations)")
+		pop    = flag.Int("pop", 24, "population size (every population)")
 		budget = flag.Int("budget", 6000, "bottom-level chain evaluations")
-		sample = flag.Int("sample", 2, "A-decisions sampled per policy/heuristic evaluation")
+		sample = flag.Int("sample", 2, "leader decisions sampled per policy/heuristic evaluation")
 		depth  = flag.Int("depth", 1, "middle levels in the chain (1 = tri-level)")
 		curves = flag.Bool("curves", false, "print convergence curves as CSV")
 	)
@@ -39,61 +40,10 @@ func main() {
 	cfg.Budget = *budget
 	cfg.Sample = *sample
 
-	if *depth != 1 {
-		runChain(*n, *m, *idx, *depth, cfg)
-		return
-	}
-	tm, err := multilevel.NewTriMarketFromClass(orlib.Class{N: *n, M: *m}, *idx)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trilevel:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("tri-level chain on n=%d m=%d (instance %d): A → B → customer\n", *n, *m, *idx)
-	t0 := time.Now()
-	res, err := multilevel.Run(tm, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "trilevel:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("finished: %d generations, %d chain evaluations in %v\n",
-		res.Gens, res.Evals, time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("A's best revenue:       %.2f\n", res.BestRevenueA)
-	fmt.Printf("B's best mean revenue:  %.2f\n", res.BestRevenueB)
-	fmt.Printf("customer forecast gap:  %.3f%%\n", res.BestGapPct)
-	fmt.Printf("B's pricing policy:     %s\n", res.BestPolicy)
-	fmt.Printf("customer heuristic:     %s\n", res.BestCust)
-	if *curves {
-		fmt.Println("evals,best_revA")
-		for i := range res.ACurve.X {
-			fmt.Printf("%.0f,%.4f\n", res.ACurve.X[i], res.ACurve.Y[i])
-		}
-		fmt.Println("evals,best_gap")
-		for i := range res.GapCurve.X {
-			fmt.Printf("%.0f,%.4f\n", res.GapCurve.X[i], res.GapCurve.Y[i])
-		}
-	}
-}
-
-// runChain drives the generalized D-middle-level chain.
-func runChain(n, m, idx, depth int, cfg multilevel.Config) {
-	if depth < 0 {
-		fmt.Fprintln(os.Stderr, "trilevel: negative depth")
-		os.Exit(2)
-	}
-	in, err := orlib.GenerateCovering(orlib.Class{N: n, M: m}, idx)
+	cm, err := multilevel.NewChainMarketFromClass(orlib.Class{N: *n, M: *m}, *idx, *depth)
 	die(err)
-	l := n / 10
-	if l < 1 {
-		l = 1
-	}
-	groups := make([]int, depth+1)
-	for i := range groups {
-		groups[i] = l
-	}
-	cm, err := multilevel.NewChainMarket(in, groups)
-	die(err)
-	fmt.Printf("%d-level chain on n=%d m=%d: leader + %d middles + customer\n",
-		depth+2, n, m, depth)
+	fmt.Printf("%d-level chain on n=%d m=%d (instance %d): leader + %d middles + customer\n",
+		*depth+2, *n, *m, *idx, *depth)
 	t0 := time.Now()
 	res, err := multilevel.RunChain(cm, cfg)
 	die(err)
@@ -111,6 +61,16 @@ func runChain(n, m, idx, depth int, cfg multilevel.Config) {
 		fmt.Printf("policy %d: %s\n", lvl+1, p)
 	}
 	fmt.Printf("customer heuristic: %s\n", res.BestCust)
+	if *curves {
+		fmt.Println("evals,best_revA")
+		for i := range res.LeaderCurve.X {
+			fmt.Printf("%.0f,%.4f\n", res.LeaderCurve.X[i], res.LeaderCurve.Y[i])
+		}
+		fmt.Println("evals,best_gap")
+		for i := range res.GapCurve.X {
+			fmt.Printf("%.0f,%.4f\n", res.GapCurve.X[i], res.GapCurve.Y[i])
+		}
+	}
 }
 
 func die(err error) {

@@ -2,7 +2,8 @@
 // nested structure") prototyped. CSP-A prices first, CSP-B reacts with
 // an evolved pricing *policy*, the customer reacts with an evolved
 // covering *heuristic* — three populations co-evolving, with CARBON's
-// decoupling trick applied at both reactive levels.
+// decoupling trick applied at both reactive levels. It is the depth-1
+// case of multilevel's pricing chain.
 package main
 
 import (
@@ -14,26 +15,26 @@ import (
 )
 
 func main() {
-	tm, err := multilevel.NewTriMarketFromClass(orlib.Class{N: 100, M: 5}, 0)
+	cm, err := multilevel.NewChainMarketFromClass(orlib.Class{N: 100, M: 5}, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("tri-level market: CSP-A (10 bundles) → CSP-B (10 bundles) → customer")
-	fmt.Printf("competitor-anchored price cap: %.0f\n\n", tm.CapB())
+	fmt.Printf("competitor-anchored price cap: %.0f\n\n", cm.BoundsA().Up[0])
 
 	cfg := multilevel.DefaultConfig()
 	cfg.PopSize = 16
 	cfg.Budget = 4000
-	res, err := multilevel.Run(tm, cfg)
+	res, err := multilevel.RunChain(cm, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("co-evolution: %d generations, %d chain evaluations\n\n", res.Gens, res.Evals)
-	fmt.Printf("A's best revenue:        %.0f\n", res.BestRevenueA)
-	fmt.Printf("B's best mean revenue:   %.0f\n", res.BestRevenueB)
+	fmt.Printf("A's best revenue:        %.0f\n", res.BestRevenues[0])
+	fmt.Printf("B's revenue against it:  %.0f\n", res.BestRevenues[1])
 	fmt.Printf("customer forecast gap:   %.2f%%\n", res.BestGapPct)
-	fmt.Printf("B's evolved policy:      price = clamp(|%s|)\n", res.BestPolicy)
+	fmt.Printf("B's evolved policy:      price = clamp(|%s|)\n", res.BestPolicies[0])
 	fmt.Printf("customer's heuristic:    %s\n", res.BestCust)
 
 	fmt.Println("\nWhat to notice: the bottom level keeps the paper's gap fitness")

@@ -221,6 +221,30 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
+// WriteJSON writes v as indented JSON, newline-terminated, through
+// WriteAtomic. The serve and cluster spools keep every record this way.
+func WriteJSON(path string, v any) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
+// ReadJSON decodes the JSON file at path into v. A read error is
+// returned as is (it names the path); a decode error is wrapped with
+// the path.
+func ReadJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("checkpoint: %s: %w", path, err)
+	}
+	return nil
+}
+
 // Quarantine moves a corrupt artifact aside to path+".corrupt" for
 // post-mortem, instead of deleting evidence or refusing to start.
 func Quarantine(path string) {

@@ -154,3 +154,32 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Fatalf("want os.IsNotExist error, got %v", err)
 	}
 }
+
+func TestJSONSpoolRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.json")
+	in := map[string]any{"id": "j000001", "gens": 3.0, "note": "<a&b>"}
+	if err := WriteJSON(path, in); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.MarshalIndent(in, "", "  ")
+	if string(got) != string(want)+"\n" {
+		t.Fatalf("spool bytes:\n%s\nwant:\n%s", got, want)
+	}
+	var out map[string]any
+	if err := ReadJSON(path, &out); err != nil || out["id"] != "j000001" || out["note"] != "<a&b>" {
+		t.Fatalf("round trip: %v, %v", out, err)
+	}
+	if err := os.WriteFile(path, got[:len(got)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadJSON(path, &out); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("torn record: error %v does not name %s", err, path)
+	}
+	if err := ReadJSON(path+".missing", &out); !os.IsNotExist(err) {
+		t.Fatalf("missing record: %v", err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"carbon/internal/checkpoint"
 	"carbon/internal/serve"
 	"carbon/internal/span"
 )
@@ -177,7 +178,7 @@ func (r *Router) Submit(ctx context.Context, spec serve.JobSpec, tenant, callerT
 		}
 		// The route is spooled before the client hears "created": once
 		// Submit returns, a router crash cannot lose track of the job.
-		if werr := writeJSONAtomic(r.routePath(fid), rt); werr != nil {
+		if werr := checkpoint.WriteJSON(r.routePath(fid), rt); werr != nil {
 			r.deleteWorkerJob(dst.url, st.ID)
 			sp.Attr("error", true)
 			return serve.Status{}, "", http.StatusInternalServerError, werr

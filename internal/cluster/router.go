@@ -223,7 +223,7 @@ func (r *Router) recover() error {
 			continue
 		}
 		rt := new(route)
-		if err := readJSON(r.routePath(id), rt); err != nil {
+		if err := checkpoint.ReadJSON(r.routePath(id), rt); err != nil {
 			checkpoint.Quarantine(r.routePath(id))
 			continue
 		}
@@ -232,6 +232,17 @@ func (r *Router) recover() error {
 	return nil
 }
 
+// The router's spool mirrors serve's discipline: every record lands via
+// checkpoint.WriteAtomic, so a crash leaves either the old file or the
+// new one, never a torn read; torn files found at startup are
+// quarantined aside as evidence, and their IDs burned so fresh routes
+// never collide.
+//
+// Layout, per fleet job f000001:
+//
+//	f000001.route.json   where the job lives (worker, worker job ID, spec)
+//	f000001.ckpt.json    last mirrored checkpoint envelope (failover seed)
+//	fleet.spans.jsonl    the router's own trace spans
 func (r *Router) routePath(id string) string {
 	return filepath.Join(r.opts.SpoolDir, id+".route.json")
 }
@@ -391,7 +402,7 @@ func (r *Router) syncRoutes() {
 			r.fed.dynMu.Lock()
 			r.fed.dyn.Forget(rt.FleetID)
 			r.fed.dynMu.Unlock()
-			_ = writeJSONAtomic(r.routePath(rt.FleetID), rt)
+			_ = checkpoint.WriteJSON(r.routePath(rt.FleetID), rt)
 			_ = os.Remove(r.mirrorPath(rt.FleetID))
 			continue
 		}
@@ -399,7 +410,10 @@ func (r *Router) syncRoutes() {
 		b, err := r.getBytes(ctx, rt.Worker+"/v1/jobs/"+rt.JobID+"/checkpoint")
 		cancel()
 		if err == nil && len(b) > 0 {
-			_ = writeFileAtomic(r.mirrorPath(rt.FleetID), b)
+			_ = checkpoint.WriteAtomic(r.mirrorPath(rt.FleetID), func(w io.Writer) error {
+				_, err := w.Write(b)
+				return err
+			})
 		}
 	}
 }
@@ -462,7 +476,7 @@ func (r *Router) failover(rt *route) {
 		r.failovers++
 		r.mu.Unlock()
 		r.metFailovers.Inc()
-		_ = writeJSONAtomic(r.routePath(rt.FleetID), rt)
+		_ = checkpoint.WriteJSON(r.routePath(rt.FleetID), rt)
 		return
 	}
 	sp.Attr("stranded", true) // retried next probe tick

@@ -378,7 +378,9 @@ func (s *state) upperGeneration() error {
 	if err := s.record(); err != nil {
 		return err
 	}
-	s.popU = breedUpper(s.r, s.popU, s.fitU, s.mk.PriceBounds(), cfg)
+	step := ga.Step{Elites: cfg.Elites, CrossProb: cfg.ULCrossoverProb, SBXEta: cfg.ULSBXEta,
+		MutProb: cfg.ULMutationProb, PolyEta: cfg.ULPolyEta}
+	s.popU, _ = step.Breed(s.r, s.popU, func(i, j int) bool { return s.fitU[i] > s.fitU[j] }, s.mk.PriceBounds())
 	s.res.Gens++
 	return nil
 }
@@ -518,36 +520,10 @@ func (s *state) record() error {
 	return nil
 }
 
-func breedUpper(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cfg Config) [][]float64 {
-	better := func(i, j int) bool { return fit[i] > fit[j] }
-	next := make([][]float64, 0, len(pop))
-	for _, e := range topK(fit, cfg.Elites, better) {
-		next = append(next, append([]float64(nil), pop[e]...))
-	}
-	for len(next) < len(pop) {
-		p1 := pop[ga.BinaryTournament(r, len(pop), better)]
-		p2 := pop[ga.BinaryTournament(r, len(pop), better)]
-		var c1, c2 []float64
-		if r.Bool(cfg.ULCrossoverProb) {
-			c1, c2 = ga.SBX(r, p1, p2, bounds, cfg.ULSBXEta)
-		} else {
-			c1 = append([]float64(nil), p1...)
-			c2 = append([]float64(nil), p2...)
-		}
-		ga.PolynomialMutateInPlace(r, c1, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		ga.PolynomialMutateInPlace(r, c2, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		next = append(next, c1)
-		if len(next) < len(pop) {
-			next = append(next, c2)
-		}
-	}
-	return next
-}
-
 func breedLower(r *rng.Rand, pop [][]bool, fit []float64, cfg Config) [][]bool {
 	better := func(i, j int) bool { return fit[i] < fit[j] }
 	next := make([][]bool, 0, len(pop))
-	for _, e := range topK(fit, cfg.Elites, better) {
+	for _, e := range ga.TopK(len(pop), cfg.Elites, better) {
 		next = append(next, append([]bool(nil), pop[e]...))
 	}
 	for len(next) < len(pop) {
@@ -570,46 +546,15 @@ func breedLower(r *rng.Rand, pop [][]bool, fit []float64, cfg Config) [][]bool {
 	return next
 }
 
-// topK returns the indices of the k best individuals under better.
-func topK(fit []float64, k int, better func(i, j int) bool) []int {
-	if k <= 0 {
-		return nil
-	}
-	idx := make([]int, len(fit))
-	for i := range idx {
-		idx[i] = i
-	}
-	for sel := 0; sel < k && sel < len(idx); sel++ {
-		best := sel
-		for i := sel + 1; i < len(idx); i++ {
-			if better(idx[i], idx[best]) {
-				best = i
-			}
-		}
-		idx[sel], idx[best] = idx[best], idx[sel]
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
-// evalStriped runs fn over [0,n) in one contiguous stripe per worker;
-// results land by index, so they do not depend on scheduling. A stripe
-// stops at its first error, and the error of the lowest failing index
-// is returned.
+// evalStriped is par.Striped for fallible work: a stripe stops at its
+// first error, and the error of the lowest failing index is returned.
 func evalStriped(n, workers int, fn func(i, worker int) error) error {
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	par.ForEach(workers, workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		for i := lo; i < hi; i++ {
-			if errs[i] = fn(i, w); errs[i] != nil {
-				return
-			}
+	failed := make([]bool, workers)
+	par.Striped(n, workers, nil, func(i, w int) {
+		if !failed[w] {
+			errs[i] = fn(i, w)
+			failed[w] = errs[i] != nil
 		}
 	})
 	for _, err := range errs {

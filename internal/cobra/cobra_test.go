@@ -1,6 +1,7 @@
 package cobra
 
 import (
+	"errors"
 	"testing"
 
 	"carbon/internal/bcpop"
@@ -221,5 +222,26 @@ func TestPhaseGensShapesCurve(t *testing.T) {
 	}
 	if res.Gens == 0 {
 		t.Fatal("no generations")
+	}
+}
+
+func TestEvalStripedStopsAtFirstErrorPerStripe(t *testing.T) {
+	// Two stripes over six items: [0,3) and [3,6). Items 1 and 4 fail.
+	called := make([]bool, 6)
+	fail := map[int]error{1: errors.New("one"), 4: errors.New("four")}
+	err := evalStriped(6, 2, func(i, w int) error {
+		called[i] = true
+		return fail[i]
+	})
+	if err != fail[1] {
+		t.Fatalf("error %v, want the lowest failing index's", err)
+	}
+	for i, want := range []bool{true, true, false, true, true, false} {
+		if called[i] != want {
+			t.Fatalf("item %d called=%v, want %v", i, called[i], want)
+		}
+	}
+	if err := evalStriped(3, 2, func(i, w int) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
 }

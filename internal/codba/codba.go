@@ -129,6 +129,8 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 	}
 	r := rng.New(cfg.Seed)
 	bounds := mk.PriceBounds()
+	step := ga.Step{Elites: cfg.Elites, CrossProb: cfg.ULCrossoverProb, SBXEta: cfg.ULSBXEta,
+		MutProb: cfg.ULMutationProb, PolyEta: cfg.ULPolyEta}
 	m := mk.Bundles()
 
 	pop := make([][]float64, cfg.ULPopSize)
@@ -156,7 +158,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 		}
 		elite := llArch.Entries()
 		llSpent := make([]int, len(pop))
-		evalStriped(len(pop), workers, func(i, w int) {
+		par.Striped(len(pop), workers, nil, func(i, w int) {
 			out, spent := solveSub(evs[w], pop[i], rng.New(seeds[i]), elite, cfg, m)
 			llSpent[i] = spent
 			if out.Feasible {
@@ -201,7 +203,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 			}
 		}
 
-		pop = breed(r, pop, fit, bounds, cfg)
+		pop, _ = step.Breed(r, pop, func(i, j int) bool { return fit[i] > fit[j] }, bounds)
 	}
 
 	res.ULEvals, res.LLEvals = ulUsed, llUsed
@@ -302,52 +304,4 @@ func solveSub(ev *bcpop.Evaluator, price []float64, r *rng.Rand,
 		}
 	}
 	return best, spent
-}
-
-func breed(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cfg Config) [][]float64 {
-	better := func(i, j int) bool { return fit[i] > fit[j] }
-	next := make([][]float64, 0, len(pop))
-	bi := 0
-	for i := range fit {
-		if better(i, bi) {
-			bi = i
-		}
-	}
-	for e := 0; e < cfg.Elites; e++ {
-		next = append(next, append([]float64(nil), pop[bi]...))
-	}
-	for len(next) < len(pop) {
-		p1 := pop[ga.BinaryTournament(r, len(pop), better)]
-		p2 := pop[ga.BinaryTournament(r, len(pop), better)]
-		var c1, c2 []float64
-		if r.Bool(cfg.ULCrossoverProb) {
-			c1, c2 = ga.SBX(r, p1, p2, bounds, cfg.ULSBXEta)
-		} else {
-			c1 = append([]float64(nil), p1...)
-			c2 = append([]float64(nil), p2...)
-		}
-		ga.PolynomialMutateInPlace(r, c1, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		ga.PolynomialMutateInPlace(r, c2, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		next = append(next, c1)
-		if len(next) < len(pop) {
-			next = append(next, c2)
-		}
-	}
-	return next
-}
-
-// evalStriped mirrors core.evalStriped: one stripe per worker, each
-// owning its warm LP solver; deterministic because all randomness comes
-// from pre-drawn per-item seeds.
-func evalStriped(n, workers int, fn func(i, worker int)) {
-	if workers > n {
-		workers = n
-	}
-	par.ForEach(workers, workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		for i := lo; i < hi; i++ {
-			fn(i, w)
-		}
-	})
 }

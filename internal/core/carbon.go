@@ -41,7 +41,6 @@ import (
 	"carbon/internal/archive"
 	"carbon/internal/ga"
 	"carbon/internal/gp"
-	"carbon/internal/par"
 	"carbon/internal/rng"
 	"carbon/internal/span"
 	"carbon/internal/stats"
@@ -266,114 +265,71 @@ type Result struct {
 	Ancestry []LineageRecord
 }
 
-// evalStriped splits [0,n) into one contiguous stripe per worker so each
-// stripe can own per-worker scratch (warm LP solvers). Results land by
-// index, so the outcome is deterministic regardless of scheduling. wm
-// (nil = off) records per-stripe busy time and wave wall time.
-func evalStriped(n, workers int, wm *par.WaveMetrics, fn func(i, worker int)) {
-	if workers > n {
-		workers = n
-	}
-	par.ForEachTimed(workers, workers, wm, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		for i := lo; i < hi; i++ {
-			fn(i, w)
-		}
-	})
-}
-
 // breedPrey builds the next prey generation: elitism, then either
-// Table II's binary-tournament + SBX + polynomial mutation suite or
-// DE/best/1/bin trials (cfg.ULVariation). The second return value is
-// each offspring's provenance (operator + parent indices into pop);
-// recording it draws nothing from r, so the RNG sequence — and
-// therefore every bred genotype — is identical to the untracked code.
+// Table II's step (ga.Step) or DE/best/1/bin trials (cfg.ULVariation).
+// The second return value is each offspring's provenance (operator +
+// parent indices into pop); recording it draws nothing from r.
 func breedPrey(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cfg Config) ([][]float64, []origin) {
 	better := func(i, j int) bool { return fit[i] > fit[j] }
-	next := make([][]float64, 0, len(pop))
-	origins := make([]origin, 0, len(pop))
-	for _, e := range topK(fit, cfg.Elites, better) {
-		next = append(next, append([]float64(nil), pop[e]...))
-		origins = append(origins, origin{op: opElite, p1: e, p2: -1})
-	}
 	if cfg.ULVariation == "de" {
-		f, cr := cfg.DEF, cfg.DECR
-		if f == 0 {
-			f = 0.5
-		}
-		if cr == 0 {
-			cr = 0.9
-		}
-		bestIdx := topK(fit, 1, better)[0]
-		for target := 0; len(next) < len(pop); target++ {
-			next = append(next, ga.DEBest1Bin(r, pop, bestIdx, target%len(pop), f, cr, bounds))
-			origins = append(origins, origin{op: opDE, p1: target % len(pop), p2: bestIdx})
-		}
-		return next, origins
+		return breedDE(r, pop, better, bounds, cfg)
 	}
-	for len(next) < len(pop) {
-		i1 := ga.BinaryTournament(r, len(pop), better)
-		i2 := ga.BinaryTournament(r, len(pop), better)
-		p1, p2 := pop[i1], pop[i2]
-		var c1, c2 []float64
-		o1 := origin{op: opULMut, p1: i1, p2: -1}
-		o2 := origin{op: opULMut, p1: i2, p2: -1}
-		if r.Bool(cfg.ULCrossoverProb) {
-			c1, c2 = ga.SBX(r, p1, p2, bounds, cfg.ULSBXEta)
-			o1 = origin{op: opSBX, p1: i1, p2: i2}
-			o2 = o1
-		} else {
-			c1 = append([]float64(nil), p1...)
-			c2 = append([]float64(nil), p2...)
+	step := ga.Step{Elites: cfg.Elites, CrossProb: cfg.ULCrossoverProb, SBXEta: cfg.ULSBXEta,
+		MutProb: cfg.ULMutationProb, PolyEta: cfg.ULPolyEta}
+	next, parents := step.Breed(r, pop, better, bounds)
+	origins := make([]origin, len(parents))
+	for i, p := range parents {
+		op := opULMut
+		switch {
+		case i < cfg.Elites:
+			op = opElite
+		case p.P2 >= 0:
+			op = opSBX
 		}
-		ga.PolynomialMutateInPlace(r, c1, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		ga.PolynomialMutateInPlace(r, c2, bounds, cfg.ULPolyEta, cfg.ULMutationProb)
-		next = append(next, c1)
-		origins = append(origins, o1)
-		if len(next) < len(pop) {
-			next = append(next, c2)
-			origins = append(origins, o2)
-		}
+		origins[i] = origin{op: op, p1: p.P1, p2: p.P2}
 	}
 	return next, origins
 }
 
-// breedPredators builds the next predator generation with DEAP's varOr
-// semantics over Table II's GP probabilities: each offspring is produced
-// by crossover (0.85), uniform mutation (0.10) or reproduction (0.05).
-// Like breedPrey it also returns per-offspring provenance, recorded
-// without touching r.
-func breedPredators(r *rng.Rand, set *gp.Set, pop []gp.Tree, fit []float64, cfg Config) ([]gp.Tree, []origin) {
-	better := func(i, j int) bool { return fit[i] < fit[j] }
-	next := make([]gp.Tree, 0, len(pop))
+// breedDE is the DE ablation's prey step: the elites, then one
+// DE/best/1/bin trial per target in population order.
+func breedDE(r *rng.Rand, pop [][]float64, better func(i, j int) bool, bounds ga.Bounds, cfg Config) ([][]float64, []origin) {
+	next := make([][]float64, 0, len(pop))
 	origins := make([]origin, 0, len(pop))
-	for _, e := range topK(fit, cfg.Elites, better) {
-		next = append(next, pop[e].Clone())
+	for _, e := range ga.TopK(len(pop), cfg.Elites, better) {
+		next = append(next, append([]float64(nil), pop[e]...))
 		origins = append(origins, origin{op: opElite, p1: e, p2: -1})
 	}
-	for len(next) < len(pop) {
-		u := r.Float64()
-		switch {
-		case u < cfg.LLCrossoverProb:
-			i1 := ga.Tournament(r, len(pop), cfg.LLTournamentK, better)
-			i2 := ga.Tournament(r, len(pop), cfg.LLTournamentK, better)
-			c1, c2 := gp.OnePointCrossover(r, set, pop[i1], pop[i2], cfg.Limits)
-			next = append(next, c1)
-			origins = append(origins, origin{op: opGPCross, p1: i1, p2: i2})
-			if len(next) < len(pop) {
-				next = append(next, c2)
-				origins = append(origins, origin{op: opGPCross, p1: i1, p2: i2})
-			}
-		case u < cfg.LLCrossoverProb+cfg.LLMutationProb:
-			i1 := ga.Tournament(r, len(pop), cfg.LLTournamentK, better)
-			next = append(next, gp.UniformMutate(r, set, pop[i1], cfg.MutGrowDepth, cfg.Limits))
-			origins = append(origins, origin{op: opGPMut, p1: i1, p2: -1})
-		default:
-			i1 := ga.Tournament(r, len(pop), cfg.LLTournamentK, better)
-			next = append(next, pop[i1].Clone())
-			origins = append(origins, origin{op: opGPRepro, p1: i1, p2: -1})
-		}
+	f, cr := cfg.DEF, cfg.DECR
+	if f == 0 {
+		f = 0.5
+	}
+	if cr == 0 {
+		cr = 0.9
+	}
+	bestIdx := ga.TopK(len(pop), 1, better)[0]
+	for target := 0; len(next) < len(pop); target++ {
+		next = append(next, ga.DEBest1Bin(r, pop, bestIdx, target%len(pop), f, cr, bounds))
+		origins = append(origins, origin{op: opDE, p1: target % len(pop), p2: bestIdx})
+	}
+	return next, origins
+}
+
+// gpOps maps gp.Step's operators to provenance opcodes.
+var gpOps = [...]uint8{gp.Elite: opElite, gp.Crossover: opGPCross, gp.Mutation: opGPMut, gp.Reproduction: opGPRepro}
+
+// breedPredators builds the next predator generation with gp.Step over
+// Table II's GP probabilities, then the optional point-mutation pass
+// (cfg.LLPointMutProb). Like breedPrey it also returns per-offspring
+// provenance, recorded without touching r.
+func breedPredators(r *rng.Rand, set *gp.Set, pop []gp.Tree, fit []float64, cfg Config) ([]gp.Tree, []origin) {
+	better := func(i, j int) bool { return fit[i] < fit[j] }
+	step := gp.Step{Elites: cfg.Elites, CrossProb: cfg.LLCrossoverProb, MutProb: cfg.LLMutationProb,
+		TournK: cfg.LLTournamentK, GrowDepth: cfg.MutGrowDepth, Limits: cfg.Limits}
+	next, bred := step.Breed(r, set, pop, better)
+	origins := make([]origin, len(bred))
+	for i, o := range bred {
+		origins[i] = origin{op: gpOps[o.Op], p1: o.P1, p2: o.P2}
 	}
 	if cfg.LLPointMutProb > 0 {
 		for i := cfg.Elites; i < len(next); i++ {
@@ -386,28 +342,6 @@ func breedPredators(r *rng.Rand, set *gp.Set, pop []gp.Tree, fit []float64, cfg 
 	return next, origins
 }
 
-// topK returns the indices of the k best individuals under better.
-func topK(fit []float64, k int, better func(i, j int) bool) []int {
-	if k <= 0 {
-		return nil
-	}
-	idx := make([]int, len(fit))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort: k is tiny (elitism).
-	for sel := 0; sel < k && sel < len(idx); sel++ {
-		best := sel
-		for i := sel + 1; i < len(idx); i++ {
-			if better(idx[i], idx[best]) {
-				best = i
-			}
-		}
-		idx[sel], idx[best] = idx[best], idx[sel]
-	}
-	return idx[:min(k, len(idx))]
-}
-
 func priceKey(p []float64) string {
 	// Cheap stable key for archive dedup of price vectors.
 	b := make([]byte, 0, len(p)*8)
@@ -418,11 +352,4 @@ func priceKey(p []float64) string {
 		}
 	}
 	return string(b)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -233,22 +233,6 @@ func TestBestHeuristicBeatsRandomTree(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	fit := []float64{5, 1, 9, 3}
-	better := func(i, j int) bool { return fit[i] < fit[j] }
-	got := topK(fit, 2, better)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("topK = %v", got)
-	}
-	if topK(fit, 0, better) != nil {
-		t.Fatal("topK(0) should be nil")
-	}
-	all := topK(fit, 10, better)
-	if len(all) != 4 {
-		t.Fatalf("topK over-asking returned %d", len(all))
-	}
-}
-
 func BenchmarkCarbonGeneration(b *testing.B) {
 	mk, err := bcpop.NewMarketFromClass(orlib.Class{N: 100, M: 5}, 0)
 	if err != nil {

@@ -499,7 +499,7 @@ const spanLPStride = 8
 // generation. Writes are per-slot disjoint.
 func (e *Engine) relaxWave() {
 	ctx := e.waveSpan.Context()
-	evalStriped(len(e.missing), e.workers, e.parMetrics(), func(s, worker int) {
+	par.Striped(len(e.missing), e.workers, e.parMetrics(), func(s, worker int) {
 		i := e.missing[s]
 		// Sampled lp.solve child spans: every spanLPStride-th distinct
 		// genotype, so the waterfall shows representative solve
@@ -556,7 +556,7 @@ func (e *Engine) gapMatrix() []float64 {
 // disjoint.
 func (e *Engine) predatorWave(gm []float64) {
 	ns := len(e.sample)
-	evalStriped(len(e.predators), e.workers, e.parMetrics(), func(i, worker int) {
+	par.Striped(len(e.predators), e.workers, e.parMetrics(), func(i, worker int) {
 		ev := e.evs[worker]
 		e.predErr[i] = nil
 		e.predQuar[i] = true
@@ -597,7 +597,7 @@ func (e *Engine) predatorWave(gm []float64) {
 
 // preyWave scores every healthy prey by its revenue under the hunter.
 func (e *Engine) preyWave() {
-	evalStriped(len(e.prey), e.workers, e.parMetrics(), func(i, worker int) {
+	par.Striped(len(e.prey), e.workers, e.parMetrics(), func(i, worker int) {
 		if e.preyErr[i] != nil {
 			return // relaxation already quarantined this prey
 		}

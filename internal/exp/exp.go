@@ -457,10 +457,3 @@ func plotASCII(s stats.Series, width, height int) string {
 	fmt.Fprintf(&b, "%11.2f ┘ evals: %.0f → %.0f\n", lo, s.X[0], s.X[len(s.X)-1])
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -346,3 +346,19 @@ func BenchmarkPolynomialMutate(b *testing.B) {
 		PolynomialMutateInPlace(r, v, bounds, 20, 0.1)
 	}
 }
+
+func TestTopK(t *testing.T) {
+	fit := []float64{5, 1, 9, 3}
+	better := func(i, j int) bool { return fit[i] < fit[j] }
+	got := TopK(len(fit), 2, better)
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("TopK = %v", got)
+	}
+	if TopK(len(fit), 0, better) != nil {
+		t.Fatal("TopK(0) should be nil")
+	}
+	all := TopK(len(fit), 10, better)
+	if len(all) != 4 {
+		t.Fatalf("TopK over-asking returned %d", len(all))
+	}
+}

@@ -1,3 +1,39 @@
+// Package multilevel prototypes the paper's stated future work:
+// "multiple-level problems with deeper nested structure in order to
+// analyze the limitations of CARBON in terms of co-evolution."
+//
+// The model is a pricing chain over one covering market:
+//
+//	leader:      prices its bundles first
+//	middles 1…D: each observes everything upstream and prices its own
+//	             bundles in turn
+//	customer:    buys the cheapest basket covering all service
+//	             requirements from the full market (the leader's, the
+//	             middles' and the competitors' bundles)
+//
+// D = 1 is the tri-level pricing problem (TLPOP: CSP-A → CSP-B →
+// customer); D = 0 is the paper's BCPOP. CARBON's decoupling trick is
+// applied at every reactive level. The customer keeps the paper's GP
+// *scoring heuristics* scored by the Eq. 1 %-gap. A middle level cannot
+// be a population of price vectors (each upstream decision induces a
+// different instance — the same epistasis one level up), so it becomes
+// a population of GP *pricing policies*: trees mapping per-bundle
+// features to a price, applicable to any induced instance. 2 + D
+// populations co-evolve:
+//
+//	leader:   price vectors (ga.Step, Table II), fitness = leader
+//	          revenue under the best policies and the best heuristic;
+//	middles:  pricing policies (gp.Step), fitness = mean revenue of
+//	          that middle across a fresh sample of leader decisions;
+//	customer: scoring heuristics (gp.Step), fitness = mean %-gap across
+//	          the same sample.
+//
+// The known limitation this prototype makes measurable: a middle
+// level's fitness has no per-instance normalizer as good as the LP
+// bound (revenue upper bounds are loose), so its selection is noisier
+// than the customer's — exactly the "limitation in terms of
+// co-evolution" the paper wants analyzed. See the package tests and
+// BenchmarkTriLevel.
 package multilevel
 
 import (
@@ -9,15 +45,37 @@ import (
 	"carbon/internal/covering"
 	"carbon/internal/ga"
 	"carbon/internal/gp"
+	"carbon/internal/orlib"
 	"carbon/internal/rng"
 	"carbon/internal/stats"
 )
 
-// ChainMarket generalizes TriMarket to an arbitrary pricing chain: the
+// feature is the policy environment for one middle-level bundle, layout
+// PolicyTerms.
+type feature [5]float64
+
+// PolicyTerms names the middle-level policy terminal set, in env order:
+// the bundle's template cost, its mean coverage per service, the mean
+// service requirement, the mean competitor price, and the mean of all
+// upstream prices (the only context-dependent slot).
+var PolicyTerms = []string{"c0", "qbar", "bbar", "cbar", "abar"}
+
+// PolicySet returns the GP primitive set for pricing policies: Table I
+// operators over PolicyTerms, with ERCs enabled so policies can express
+// absolute price levels.
+func PolicySet() *gp.Set {
+	return &gp.Set{
+		Ops:       gp.TableIOps(),
+		Terms:     append([]string(nil), PolicyTerms...),
+		ConstProb: 0.2, ConstMin: 0, ConstMax: 2,
+	}
+}
+
+// ChainMarket is a pricing chain over one covering template: the
 // leader owns the first group of bundles, then D middle players price
 // their groups in sequence (each observing everything upstream), and a
-// rational customer covers from the whole market. TriMarket is the
-// D = 1 case; the paper's BCPOP is D = 0.
+// rational customer covers from the whole market. The columns after the
+// last group are fixed-price competitors.
 //
 // Each middle player's reaction is a GP pricing policy over per-bundle
 // features (PolicyTerms); the "abar" slot carries the mean of all
@@ -98,6 +156,24 @@ func NewChainMarket(in *covering.Instance, groups []int) (*ChainMarket, error) {
 		cm.feat[lvl-1] = fs
 	}
 	return cm, nil
+}
+
+// NewChainMarketFromClass builds the depth-D chain on an instance of a
+// paper class: the leader and each middle player own N/10 bundles (at
+// least one). Depth 1 is the tri-level market.
+func NewChainMarketFromClass(cl orlib.Class, index, depth int) (*ChainMarket, error) {
+	in, err := orlib.GenerateCovering(cl, index)
+	if err != nil {
+		return nil, err
+	}
+	if depth < 0 || depth >= in.M() {
+		return nil, fmt.Errorf("multilevel: depth %d outside [0, %d)", depth, in.M())
+	}
+	groups := make([]int, depth+1)
+	for i := range groups {
+		groups[i] = max(1, cl.N/10)
+	}
+	return NewChainMarket(in, groups)
 }
 
 // Depth returns the number of middle levels D.
@@ -217,6 +293,68 @@ func (ce *ChainEvaluator) Eval(priceA []float64, policies []gp.Tree, cust gp.Tre
 	return out, nil
 }
 
+// Config parameterizes the chain co-evolution. All populations share a
+// size; GP operators reuse Table II's probabilities.
+type Config struct {
+	Seed      uint64
+	PopSize   int
+	Budget    int // bottom-level evaluations (the chain's unit of work)
+	Sample    int // leader decisions sampled per policy/heuristic evaluation
+	Elites    int
+	Limits    gp.Limits
+	InitDepth int
+	TournK    int
+	CrossProb float64
+	MutProb   float64
+	ReproProb float64
+	SBXEta    float64
+	PolyEta   float64
+	ULMutProb float64
+}
+
+// DefaultConfig returns Table II-aligned parameters at prototype scale.
+func DefaultConfig() Config {
+	return Config{
+		Seed:      1,
+		PopSize:   24,
+		Budget:    6000,
+		Sample:    2,
+		Elites:    1,
+		Limits:    gp.DefaultLimits(),
+		InitDepth: 4,
+		TournK:    3,
+		CrossProb: 0.85,
+		MutProb:   0.10,
+		ReproProb: 0.05,
+		SBXEta:    15,
+		PolyEta:   20,
+		ULMutProb: 0.05,
+	}
+}
+
+// genCost is what one generation of a depth-D chain spends: the
+// customer and each of the D policy populations score every member on
+// Sample leader decisions, then every leader is evaluated once.
+func (c *Config) genCost(depth int) int { return c.PopSize * ((depth+1)*c.Sample + 1) }
+
+// Validate rejects configurations unusable on a chain with depth middle
+// levels, including a budget below one generation.
+func (c *Config) Validate(depth int) error {
+	switch {
+	case c.PopSize < 2:
+		return errors.New("multilevel: PopSize must be at least 2")
+	case c.Sample < 1:
+		return errors.New("multilevel: Sample must be at least 1")
+	case c.Budget < c.genCost(depth):
+		return fmt.Errorf("multilevel: budget %d below one depth-%d generation (%d evaluations)", c.Budget, depth, c.genCost(depth))
+	case c.Elites < 0 || c.Elites >= c.PopSize:
+		return errors.New("multilevel: bad elite count")
+	case c.CrossProb+c.MutProb+c.ReproProb > 1+1e-9:
+		return errors.New("multilevel: GP probabilities exceed 1")
+	}
+	return nil
+}
+
 // ChainResult summarizes one chain co-evolution run.
 type ChainResult struct {
 	BestPriceA   []float64
@@ -234,19 +372,24 @@ type ChainResult struct {
 // population per middle level, and the customer heuristics. Per
 // generation every reactive population is scored against a fresh sample
 // of leader decisions with the other levels pinned to their current
-// elites (the tri-level scheme applied level by level, deepest first so
-// forecasts improve bottom-up within a generation).
+// elites, level by level, deepest first so forecasts improve bottom-up
+// within a generation. The leader breeds with ga.Step, every reactive
+// population with gp.Step.
 func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
-	if err := cfg.Validate(); err != nil {
+	d := cm.Depth()
+	if err := cfg.Validate(d); err != nil {
 		return nil, err
 	}
 	ce, err := NewChainEvaluator(cm)
 	if err != nil {
 		return nil, err
 	}
-	d := cm.Depth()
 	r := rng.New(cfg.Seed)
 	bounds := cm.BoundsA()
+	leader := ga.Step{Elites: cfg.Elites, CrossProb: cfg.CrossProb, SBXEta: cfg.SBXEta,
+		MutProb: cfg.ULMutProb, PolyEta: cfg.PolyEta}
+	react := gp.Step{Elites: cfg.Elites, CrossProb: cfg.CrossProb, MutProb: cfg.MutProb,
+		TournK: cfg.TournK, GrowDepth: 3, Limits: cfg.Limits}
 
 	popA := make([][]float64, cfg.PopSize)
 	for i := range popA {
@@ -268,13 +411,14 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 	bestC := popC[0].Clone()
 
 	fit := make([]float64, cfg.PopSize)
+	lower := func(i, j int) bool { return fit[i] < fit[j] }
+	higher := func(i, j int) bool { return fit[i] > fit[j] }
 	archA := archive.New[[]float64](cfg.PopSize, false, nil)
 	res := &ChainResult{BestRevenues: make([]float64, d+1)}
 	bestGapSeen := math.Inf(1)
 
-	perGen := cfg.PopSize * ((d+1)*cfg.Sample + 1)
-	for ce.Evals+perGen <= cfg.Budget {
-		sample := r.SampleDistinct(minInt(cfg.Sample, len(popA)), len(popA))
+	for ce.Evals+cfg.genCost(d) <= cfg.Budget {
+		sample := r.SampleDistinct(min(cfg.Sample, len(popA)), len(popA))
 
 		// Customer heuristics first (deepest level).
 		for i, tr := range popC {
@@ -288,12 +432,12 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 			}
 			fit[i] = total / float64(len(sample))
 		}
-		bc := argbest(fit, func(a, b float64) bool { return a < b })
+		bc := ga.TopK(len(fit), 1, lower)[0]
 		bestC = popC[bc].Clone()
 		if fit[bc] < bestGapSeen {
 			bestGapSeen = fit[bc]
 		}
-		popC = breedGP(r, ce.custSet, popC, fit, func(a, b float64) bool { return a < b }, cfg)
+		popC, _ = react.Breed(r, ce.custSet, popC, lower)
 
 		// Middle policies, deepest first.
 		for lvl := d - 1; lvl >= 0; lvl-- {
@@ -310,9 +454,8 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 				}
 				fit[i] = total / float64(len(sample))
 			}
-			bb := argbest(fit, func(a, b float64) bool { return a > b })
-			bestP[lvl] = popP[lvl][bb].Clone()
-			popP[lvl] = breedGP(r, ce.policySet, popP[lvl], fit, func(a, b float64) bool { return a > b }, cfg)
+			bestP[lvl] = popP[lvl][ga.TopK(len(fit), 1, higher)[0]].Clone()
+			popP[lvl], _ = react.Breed(r, ce.policySet, popP[lvl], higher)
 		}
 
 		// Leader.
@@ -330,7 +473,7 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 		for i, x := range popA {
 			archA.Add(append([]float64(nil), x...), fit[i])
 		}
-		popA = breedA(r, popA, fit, bounds, cfg)
+		popA, _ = leader.Breed(r, popA, higher, bounds)
 
 		res.Gens++
 		xAxis := float64(ce.Evals)
@@ -357,11 +500,4 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 	}
 	res.BestCust = gp.Simplify(ce.custSet, bestC).String(ce.custSet)
 	return res, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -111,6 +111,8 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 	}
 	r := rng.New(cfg.Seed)
 	bounds := mk.PriceBounds()
+	step := ga.Step{Elites: cfg.Elites, CrossProb: cfg.CrossoverProb, SBXEta: cfg.SBXEta,
+		MutProb: cfg.MutationProb, PolyEta: cfg.PolyEta}
 
 	pop := make([][]float64, cfg.PopSize)
 	for i := range pop {
@@ -137,7 +139,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 				seeds[i] = r.Uint64()
 			}
 		}
-		evalStriped(len(pop), workers, func(i, w int) {
+		par.Striped(len(pop), workers, nil, func(i, w int) {
 			var out bcpop.Result
 			var err error
 			if cfg.GraspStarts > 0 {
@@ -178,7 +180,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 		res.GapCurve.X = append(res.GapCurve.X, x)
 		res.GapCurve.Y = append(res.GapCurve.Y, gaps[bestI])
 
-		pop = breed(r, pop, fit, bounds, cfg)
+		pop, _ = step.Breed(r, pop, func(i, j int) bool { return fit[i] > fit[j] }, bounds)
 	}
 	res.ULEvals, res.LLEvals = ulUsed, llUsed
 	if be, ok := arch.Best(); ok {
@@ -196,56 +198,4 @@ func evalChvatal(ev *bcpop.Evaluator, price []float64) (bcpop.Result, error) {
 	empty := make([]bool, ev.Market().Bundles())
 	out, _, err := ev.EvalSelection(price, empty)
 	return out, err
-}
-
-func breed(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cfg Config) [][]float64 {
-	better := func(i, j int) bool { return fit[i] > fit[j] }
-	next := make([][]float64, 0, len(pop))
-	// Elitism by partial selection.
-	order := make([]int, len(pop))
-	for i := range order {
-		order[i] = i
-	}
-	for e := 0; e < cfg.Elites; e++ {
-		best := e
-		for i := e + 1; i < len(order); i++ {
-			if better(order[i], order[best]) {
-				best = i
-			}
-		}
-		order[e], order[best] = order[best], order[e]
-		next = append(next, append([]float64(nil), pop[order[e]]...))
-	}
-	for len(next) < len(pop) {
-		p1 := pop[ga.BinaryTournament(r, len(pop), better)]
-		p2 := pop[ga.BinaryTournament(r, len(pop), better)]
-		var c1, c2 []float64
-		if r.Bool(cfg.CrossoverProb) {
-			c1, c2 = ga.SBX(r, p1, p2, bounds, cfg.SBXEta)
-		} else {
-			c1 = append([]float64(nil), p1...)
-			c2 = append([]float64(nil), p2...)
-		}
-		ga.PolynomialMutateInPlace(r, c1, bounds, cfg.PolyEta, cfg.MutationProb)
-		ga.PolynomialMutateInPlace(r, c2, bounds, cfg.PolyEta, cfg.MutationProb)
-		next = append(next, c1)
-		if len(next) < len(pop) {
-			next = append(next, c2)
-		}
-	}
-	return next
-}
-
-// evalStriped mirrors core.evalStriped.
-func evalStriped(n, workers int, fn func(i, worker int)) {
-	if workers > n {
-		workers = n
-	}
-	par.ForEach(workers, workers, func(w int) {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		for i := lo; i < hi; i++ {
-			fn(i, w)
-		}
-	})
 }

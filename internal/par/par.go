@@ -142,6 +142,22 @@ func ForEachTimed(n, workers int, m *WaveMetrics, fn func(i int)) {
 	m.Items.Add(int64(n))
 }
 
+// Striped runs fn over [0,n) in one contiguous stripe per worker, so
+// each stripe can own per-worker scratch (an evaluator, a warm LP
+// solver): fn(i, w) sees every index of stripe w in ascending order.
+// Results land by index, so the outcome is deterministic regardless of
+// scheduling. workers must already be resolved (see Workers); m (nil =
+// off) times the wave as ForEachTimed does.
+func Striped(n, workers int, m *WaveMetrics, fn func(i, worker int)) {
+	workers = min(workers, n)
+	ForEachTimed(workers, workers, m, func(w int) {
+		lo, hi := n*w/workers, n*(w+1)/workers
+		for i := lo; i < hi; i++ {
+			fn(i, w)
+		}
+	})
+}
+
 // panicErr carries a worker panic back to the caller.
 type panicErr struct {
 	item  int

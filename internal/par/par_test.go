@@ -101,3 +101,31 @@ func BenchmarkForEachSmallBody(b *testing.B) {
 	}
 	_ = sink
 }
+
+func TestStripedContiguousStripes(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 7} {
+		const n = 5
+		owner := make([]int, n)
+		hits := make([]int32, n)
+		Striped(n, workers, nil, func(i, w int) {
+			atomic.AddInt32(&hits[i], 1)
+			owner[i] = w
+		})
+		for i := range hits {
+			if hits[i] != 1 {
+				t.Fatalf("workers=%d: item %d hit %d times", workers, i, hits[i])
+			}
+			w := min(workers, n)
+			want := 0 // the last stripe starting at or before i
+			for s := 0; s < w; s++ {
+				if n*s/w <= i {
+					want = s
+				}
+			}
+			if owner[i] != want {
+				t.Fatalf("workers=%d: item %d ran on stripe %d, want %d", workers, i, owner[i], want)
+			}
+		}
+	}
+	Striped(0, 2, nil, func(i, w int) { t.Fatal("called on an empty range") })
+}

@@ -22,13 +22,6 @@ func wellFormed(t *testing.T, svg string) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func sampleChart() *Chart {
 	return &Chart{
 		Title:  "CARBON convergence",

@@ -290,7 +290,7 @@ func (m *Manager) recover() ([]*job, error) {
 			m.seq = n
 		}
 		var spec JobSpec
-		if err := readJSON(m.specPath(id), &spec); err != nil {
+		if err := checkpoint.ReadJSON(m.specPath(id), &spec); err != nil {
 			checkpoint.Quarantine(m.specPath(id))
 			continue
 		}
@@ -811,7 +811,7 @@ func (m *Manager) runJob(j *job) {
 		// never blindly re-run either.
 		rec := DeadRecord{ID: j.id, Attempts: attempts, Error: err.Error(), Finished: time.Now()}
 		dsp := j.childOfRoot("deadletter").Kind(span.KindIO).Attr("attempts", attempts)
-		_ = writeJSONAtomic(m.deadPath(j.id), rec)
+		_ = checkpoint.WriteJSON(m.deadPath(j.id), rec)
 		_ = os.Remove(m.ckptPath(j.id))
 		dsp.End()
 		j.mu.Lock()
@@ -1037,7 +1037,7 @@ func (m *Manager) writeCheckpoint(e *core.Engine, j *job, att *span.Span) error 
 	return nil
 }
 
-// spoolWrite is writeJSONAtomic behind the spool.write fault site: a
+// spoolWrite is checkpoint.WriteJSON behind the spool.write fault site: a
 // strike leaves a torn artifact at the final path — the worst a real
 // crash produces — and reports the failure.
 func (m *Manager) spoolWrite(path string, v any) error {
@@ -1045,7 +1045,7 @@ func (m *Manager) spoolWrite(path string, v any) error {
 		tearFile(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
 		return fmt.Errorf("serve: spool write %s: %w", filepath.Base(path), ferr)
 	}
-	return writeJSONAtomic(path, v)
+	return checkpoint.WriteJSON(path, v)
 }
 
 // tearFile simulates a crash mid-write: half the encoding lands at the
@@ -1112,23 +1112,4 @@ func (m *Manager) removeSpool(id string) {
 	_ = os.Remove(m.ckptPath(id))
 	_ = os.Remove(m.resultPath(id))
 	_ = os.Remove(m.deadPath(id))
-}
-
-// writeJSONAtomic writes v as indented JSON through
-// checkpoint.WriteAtomic: readers (including a recovering manager)
-// never observe a torn file.
-func writeJSONAtomic(path string, v any) error {
-	return checkpoint.WriteAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
-}
-
-func readJSON(path string, v any) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }

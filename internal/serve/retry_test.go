@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"carbon/internal/checkpoint"
 	"carbon/internal/fault"
 	"carbon/internal/telemetry"
 )
@@ -130,7 +131,7 @@ func TestTornCheckpointDiscarded(t *testing.T) {
 	spool := t.TempDir()
 	spec := tinySpec(17).withDefaults()
 	id := "j000001"
-	if err := writeJSONAtomic(spool+"/"+id+".job.json", spec); err != nil {
+	if err := checkpoint.WriteJSON(spool+"/"+id+".job.json", spec); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(spool+"/"+id+".ckpt.json", []byte(`{"v":1,"prey":[[0.2,`), 0o644); err != nil {
@@ -164,7 +165,7 @@ func TestTornSpecQuarantinedOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := tinySpec(19).withDefaults()
-	if err := writeJSONAtomic(spool+"/j000002.job.json", good); err != nil {
+	if err := checkpoint.WriteJSON(spool+"/j000002.job.json", good); err != nil {
 		t.Fatal(err)
 	}
 	m := newTestManager(t, Options{SpoolDir: spool})
