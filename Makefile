@@ -96,8 +96,7 @@ taxonomy:
 #   fleet-smoke  3 workers + router: round-robin, 429 admission, failover,
 #                revival sweep, networked islands, cross-node trace
 #   obs-smoke    streamed jobs stay bit-identical with the reference's LP
-#                solves, Last-Event-ID resume across failover, federated
-#                counter sums, alert fire/clear, `carbontop -once`
+#                solves, Last-Event-ID resume across failover
 SMOKE = $(GO) test -tags smoke -count=1 -run
 
 smoke:

@@ -22,13 +22,11 @@
 // Retry-After hint. GET /v1/workers and GET /v1/healthz expose the
 // fleet as the router sees it.
 //
-// The router is also the fleet's observability plane: it federates the
-// workers' Prometheus endpoints into GET /metrics/prometheus (counters
-// summed, gauges per-worker) and a JSON rollup on /v1/fleet/metrics,
-// proxies live job event streams on GET /v1/jobs/{id}/events (SSE,
-// resumable via Last-Event-ID, stitched across failover), and
-// evaluates -slo rules plus built-in search-dynamics detectors into
-// GET /v1/fleet/alerts.
+// The router proxies live job event streams on GET
+// /v1/jobs/{id}/events (SSE, resumable via Last-Event-ID, stitched
+// across failover) and serves its own metrics (failovers, event-stream
+// drops and reconnects, span write drops) on GET /metrics/prometheus;
+// each worker serves its own on its own /metrics endpoints.
 package main
 
 import (
@@ -45,7 +43,6 @@ import (
 	"time"
 
 	"carbon/internal/cluster"
-	"carbon/internal/slo"
 )
 
 func main() {
@@ -62,7 +59,6 @@ func main() {
 		burst    = flag.Int("burst", 0, "admission bucket size (default max(1, rate))")
 		quotaS   = flag.String("quota", "", "per-tenant rate overrides, e.g. \"teamA=2,teamB=0.5\"")
 		spans    = flag.Bool("spans", true, "write router spans to <spool>/fleet.spans.jsonl")
-		sloFile  = flag.String("slo", "", "SLO rules file: one \"<name> <metric> <agg> <op> <threshold> [for <dur>]\" per line")
 		drainFor = flag.Duration("drain-timeout", 10*time.Second, "max time to finish in-flight proxying on shutdown")
 	)
 	flag.Parse()
@@ -99,20 +95,6 @@ func main() {
 		}
 	}
 
-	var rules []slo.Rule
-	if *sloFile != "" {
-		b, err := os.ReadFile(*sloFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "carbonfleet: -slo:", err)
-			os.Exit(1)
-		}
-		rules, err = slo.ParseRules(string(b))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "carbonfleet: -slo:", err)
-			os.Exit(1)
-		}
-	}
-
 	r, err := cluster.NewRouter(cluster.Options{
 		Workers:      strings.Split(*workers, ","),
 		Weights:      ws,
@@ -125,7 +107,6 @@ func main() {
 		Burst:        *burst,
 		Quota:        quota,
 		Spans:        *spans,
-		SLORules:     rules,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carbonfleet:", err)

@@ -13,6 +13,7 @@ import (
 	"carbon/internal/checkpoint"
 	"carbon/internal/serve"
 	"carbon/internal/span"
+	"carbon/internal/telemetry"
 )
 
 // WorkerStatus is one worker's entry in GET /v1/workers.
@@ -48,9 +49,7 @@ type FleetHealth struct {
 //	GET    /v1/workers          per-worker health, as the router sees it
 //	GET    /v1/healthz          fleet summary (policy, healthy count, failovers)
 //	GET    /v1/jobs/{id}/events live SSE stream, stitched across failover
-//	GET    /v1/fleet/metrics    federated metric rollup as JSON
-//	GET    /v1/fleet/alerts     firing/pending SLO and dynamics alerts
-//	GET    /metrics/prometheus  the federated view in text exposition format
+//	GET    /metrics/prometheus  the router's own registry in text exposition format
 //
 // Job IDs on this surface are fleet IDs ("f000001"); the worker that
 // hosts a job — and the worker-side ID — is the router's business, and
@@ -70,14 +69,9 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, req *http.Request) {
 		r.ServeJobEvents(w, req, req.PathValue("id"))
 	})
-	mux.HandleFunc("GET /v1/fleet/metrics", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.FleetMetrics())
-	})
-	mux.HandleFunc("GET /v1/fleet/alerts", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Alerts())
-	})
 	mux.HandleFunc("GET /metrics/prometheus", func(w http.ResponseWriter, req *http.Request) {
-		r.ServeFleetProm(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = telemetry.WritePrometheus(w, telemetry.PromTarget{Name: "carbonfleet", Registry: r.metrics})
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleDelete)
 	mux.HandleFunc("POST /v1/islands", r.handleIslands)

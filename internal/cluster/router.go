@@ -17,7 +17,6 @@ import (
 
 	"carbon/internal/checkpoint"
 	"carbon/internal/serve"
-	"carbon/internal/slo"
 	"carbon/internal/span"
 	"carbon/internal/telemetry"
 )
@@ -55,15 +54,9 @@ type Options struct {
 	Spans bool
 
 	// Metrics is the router's own instrument registry (a fresh one is
-	// created when nil). Its families join the federated fleet view
-	// under worker="router".
+	// created when nil), served on the router's /metrics/prometheus
+	// under the carbonfleet prefix.
 	Metrics *telemetry.Registry
-
-	// SLORules are evaluated against the federated metric view every
-	// probe tick; firing rules surface on /v1/fleet/alerts and as
-	// carbonfleet_alert gauges. Nil means only the built-in search
-	// dynamics detectors (stagnation, disengagement, bloat) run.
-	SLORules []slo.Rule
 
 	// Client is the HTTP client for worker traffic (default: a client
 	// with no global timeout; per-request timeouts come from the
@@ -109,12 +102,10 @@ type Router struct {
 	tracer  *span.Tracer
 	spanExp *span.FileExporter
 
-	// Observability plane (see federate.go and events.go): the router's
-	// own registry, the federation cache, and proxied event streams.
+	// The router's own registry and the counters behind it; proxied
+	// event streams live in events.go.
 	metrics      *telemetry.Registry
-	fed          *federation
 	metFailovers *telemetry.Counter // cluster.failovers
-	metScrapeErr *telemetry.Counter // cluster.scrape_errors
 	metEvtDrop   *telemetry.Counter // cluster.events_dropped
 	metReconnect *telemetry.Counter // cluster.event_reconnects
 
@@ -166,7 +157,6 @@ func NewRouter(opts Options) (*Router, error) {
 		client:  opts.Client,
 		buckets: newBuckets(opts.Rate, opts.Burst, opts.Quota, nil),
 		metrics: reg,
-		fed:     newFederation(opts.SLORules),
 		routes:  make(map[string]*route),
 		orphans: make(map[string][]string),
 		streams: make(map[string]*fleetStream),
@@ -174,7 +164,6 @@ func NewRouter(opts Options) (*Router, error) {
 		done:    make(chan struct{}),
 	}
 	r.metFailovers = reg.Counter("cluster.failovers")
-	r.metScrapeErr = reg.Counter("cluster.scrape_errors")
 	r.metEvtDrop = reg.Counter("cluster.events_dropped")
 	r.metReconnect = reg.Counter("cluster.event_reconnects")
 	if r.client == nil {
@@ -325,7 +314,6 @@ func (r *Router) probeTick() {
 	}
 	r.syncRoutes()
 	r.failoverDead()
-	r.federate()
 }
 
 func (r *Router) fetchHealth(url string) (serve.Health, error) {
@@ -388,20 +376,10 @@ func (r *Router) syncRoutes() {
 		if err != nil {
 			continue
 		}
-		if st.Latest != nil {
-			// The status poll doubles as the dynamics feed: detectors
-			// dedupe generations replayed after a failover by number.
-			r.fed.dynMu.Lock()
-			r.fed.dyn.Observe(rt.FleetID, *st.Latest)
-			r.fed.dynMu.Unlock()
-		}
 		if st.State.Terminal() {
 			r.mu.Lock()
 			rt.Done = true
 			r.mu.Unlock()
-			r.fed.dynMu.Lock()
-			r.fed.dyn.Forget(rt.FleetID)
-			r.fed.dynMu.Unlock()
 			_ = checkpoint.WriteJSON(r.routePath(rt.FleetID), rt)
 			_ = os.Remove(r.mirrorPath(rt.FleetID))
 			continue

@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"carbon/internal/core"
 	"carbon/internal/serve"
+	"carbon/internal/telemetry"
 )
 
 func tinySpec(seed uint64) serve.JobSpec {
@@ -66,6 +68,35 @@ func testWorker(t *testing.T, opts serve.Options) (*serve.Manager, *httptest.Ser
 		_ = m.Close(ctx)
 	})
 	return m, srv
+}
+
+// testWorkerObs is testWorker with the telemetry surface attached —
+// the same mux shape cmd/carbond serves, so the worker exposes its own
+// carbond_* families on /metrics/prometheus.
+func testWorkerObs(t *testing.T, opts serve.Options) *httptest.Server {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	opts.Metrics = reg
+	if opts.SpoolDir == "" {
+		opts.SpoolDir = t.TempDir()
+	}
+	m, err := serve.NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", serve.APIHandler(m))
+	mux.Handle("/", telemetry.DynamicHandler(
+		func() map[string]*telemetry.Registry { return map[string]*telemetry.Registry{"carbond": reg} },
+		m.MetricsTargets))
+	srv := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = m.Close(ctx)
+	})
+	return srv
 }
 
 func newTestRouter(t *testing.T, opts Options) *Router {
@@ -280,6 +311,54 @@ func TestRouterFailover(t *testing.T) {
 	}
 	if !resumed {
 		t.Fatal("survivor did not resume from the mirrored checkpoint")
+	}
+}
+
+// TestRouterServesOwnMetrics: the router's /metrics/prometheus renders
+// the router's own registry under the carbonfleet prefix — here its
+// failover counter after one forced failover — and nothing of the
+// workers', which serve their own metrics.
+func TestRouterServesOwnMetrics(t *testing.T) {
+	w1 := testWorkerObs(t, serve.Options{Workers: 1, CheckpointEvery: 1})
+	w2 := testWorkerObs(t, serve.Options{Workers: 1, CheckpointEvery: 1})
+	r := newTestRouter(t, Options{Workers: []string{w1.URL, w2.URL}, DeadAfter: 2})
+	h := r.Handler()
+
+	rr, body := do(t, h, "POST", "/v1/jobs", longSpec(81), nil)
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("submit: got %d: %s", rr.Code, body)
+	}
+	if got := rr.Header().Get("X-Carbon-Worker"); got != w1.URL {
+		t.Fatalf("round-robin first pick %q, want %q", got, w1.URL)
+	}
+	var st serve.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	w1.Close()
+	r.Probe()
+	r.Probe()
+	if h := r.Health(); h.Failovers != 1 {
+		t.Fatalf("fleet health after the kill: %+v", h)
+	}
+	// The survivor runs the job to the end, so its own registry holds
+	// engine counters the router must not re-export.
+	waitDone(t, h, st.ID)
+	r.Probe()
+
+	rr, body = do(t, h, "GET", "/metrics/prometheus", nil, nil)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("router metrics: got %d", rr.Code)
+	}
+	text := string(body)
+	if !strings.Contains(text, "\ncarbonfleet_cluster_failovers 1\n") {
+		t.Fatalf("router metrics lack carbonfleet_cluster_failovers 1:\n%s", text)
+	}
+	if strings.Contains(text, "worker=") {
+		t.Fatalf("router metrics carry a worker label:\n%s", text)
+	}
+	if strings.Contains(text, "carbond_") {
+		t.Fatalf("router metrics carry a worker's carbond_ family:\n%s", text)
 	}
 }
 

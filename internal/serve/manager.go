@@ -530,8 +530,8 @@ type Health struct {
 	Done      int `json:"done"`
 	Dead      int `json:"dead"`
 
-	// Identity and liveness — so probes and carbontop stop inferring
-	// them from queue depth alone. Incarnation changes every process
+	// Identity and liveness — so probes stop inferring them from
+	// queue depth alone. Incarnation changes every process
 	// start (pid + start time, no algorithm RNG involved): a fleet
 	// router comparing incarnations across probes detects a worker that
 	// crashed and restarted between two healthy responses.

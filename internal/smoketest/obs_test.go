@@ -7,20 +7,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"carbon/internal/serve"
-	"carbon/internal/slo"
-	"carbon/internal/telemetry"
 )
 
-// TestObs is the observability-plane gate (`make obs-smoke`): three
+// TestObs is the job event-stream gate (`make obs-smoke`): three
 // carbond workers plus a carbonfleet router, one worker SIGKILLed
 // mid-run.
 //
@@ -32,24 +27,13 @@ import (
 //     and dropped; after the failover a Last-Event-ID reconnect must
 //     replay exactly the missed tail — every generation once, no
 //     duplicates, no holes, one terminal state.
-//   - Federation conserves sums: the router's /metrics/prometheus
-//     counter totals equal the sum of the survivors' own endpoints.
-//   - An SLO rule on unfinished routes fires while jobs run and clears
-//     on /v1/fleet/alerts once they finish.
-//   - carbontop -once renders the post-mortem fleet, dead worker and all.
 func TestObs(t *testing.T) {
 	work := t.TempDir()
 	refVictim, _ := Reference(t, victimSpec(21))
 	refA, lpA := Reference(t, smokeSpec(22))
 	refB, _ := Reference(t, smokeSpec(23))
 
-	// The rule fires while any route is unfinished and clears when all
-	// jobs land — a deterministic fire-and-clear cycle for the gate.
-	rules := filepath.Join(work, "slo.rules")
-	if err := os.WriteFile(rules, []byte("active carbonfleet_cluster_routes_unfinished value > 0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	router, workers := startFleet(t, work, "-slo", rules)
+	router, workers := startFleet(t, work)
 
 	vic := router.Submit(victimSpec(21), "", "")
 	jobA := router.Submit(smokeSpec(22), "", "")
@@ -78,8 +62,6 @@ func TestObs(t *testing.T) {
 		t.Fatalf("victim stream ended after %d frames, wanted %d before dropping", got, 10)
 	}
 
-	waitAlert(t, router, "active", true)
-
 	victim := failOver(t, work, router, workers, vic, refVictim)
 	router.WaitState(jobA.ID, serve.StateDone)
 	router.WaitState(jobB.ID, serve.StateDone)
@@ -99,34 +81,27 @@ func TestObs(t *testing.T) {
 		}
 	}
 
-	waitAlert(t, router, "active", false) // all routes done: alert cleared
-	time.Sleep(400 * time.Millisecond)    // two probe rounds: the federated cache settles
-	survivors := slices.DeleteFunc(slices.Clone(workers), func(w *Proc) bool { return w == victim })
-	checkConservation(t, router, survivors)
-
 	// No extra LP solves: jobA's worker hosted exactly that one streamed
-	// job, so its counter must equal the reference run's.
+	// job, so its counter on its own JSON /metrics must equal the
+	// reference run's.
 	wA := workerAt(t, workers, jobA.Worker)
-	gotLP, ok := famSum(scrape(t, wA), "carbond_bcpop_lp_solves")
-	if !ok {
-		t.Fatalf("worker %s has no family %s", wA, "carbond_bcpop_lp_solves")
+	var snap map[string]struct {
+		LPSolves *int64 `json:"bcpop.lp_solves"`
 	}
-	if gotLP != float64(lpA) {
-		t.Fatalf("worker %s ran %v LP solves for the streamed job, reference ran %d — streaming is not free",
-			wA, gotLP, lpA)
+	if code := wA.Get("/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("worker %s /metrics: HTTP %d", wA, code)
 	}
-
-	out, err := exec.Command(carbontop, "-addr", router.URL(), "-once").CombinedOutput()
-	if err != nil {
-		t.Fatalf("carbontop -once: %v\n%s", err, out)
+	gotLP := snap["carbond"].LPSolves
+	if gotLP == nil {
+		t.Fatalf("worker %s reports no carbond bcpop.lp_solves", wA)
 	}
-	for _, want := range []string{vic.ID, "DEAD", "ALERTS"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("carbontop -once output lacks %q:\n%s", want, out)
-		}
+	if *gotLP != lpA {
+		t.Fatalf("worker %s ran %d LP solves for the streamed job, reference ran %d — streaming is not free",
+			wA, *gotLP, lpA)
 	}
 
 	// Shut down what is still running; the victim is already dead.
+	survivors := slices.DeleteFunc(slices.Clone(workers), func(w *Proc) bool { return w == victim })
 	for _, p := range append([]*Proc{router}, survivors...) {
 		p.Term()
 	}
@@ -251,88 +226,5 @@ func checkStitched(t *testing.T, frames []frame, fleetID string, spliceAt uint64
 	}
 	if lastState != serve.StateDone {
 		t.Fatalf("stitched stream's final state %q, want done", lastState)
-	}
-}
-
-// scrape parses p's /metrics/prometheus.
-func scrape(t *testing.T, p *Proc) []telemetry.Family {
-	t.Helper()
-	resp, err := http.Get(p.URL() + "/metrics/prometheus")
-	if err != nil {
-		t.Fatalf("scrape %s: %v", p, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrape %s: HTTP %d", p, resp.StatusCode)
-	}
-	fams, err := telemetry.ParseFamilies(resp.Body)
-	if err != nil {
-		t.Fatalf("scrape %s: %v", p, err)
-	}
-	return fams
-}
-
-// famSum totals every series of family name.
-func famSum(fams []telemetry.Family, name string) (float64, bool) {
-	f := telemetry.FindFamily(fams, name)
-	if f == nil {
-		return 0, false
-	}
-	var sum float64
-	for _, s := range f.Series {
-		sum += s.Value
-	}
-	return sum, true
-}
-
-// checkConservation scrapes the survivors directly and asserts every
-// carbond counter family on the router's federated endpoint totals
-// exactly their sum — the dead worker contributes nothing, survivors
-// contribute everything.
-func checkConservation(t *testing.T, router *Proc, survivors []*Proc) {
-	fleet := scrape(t, router)
-	var scraped [][]telemetry.Family
-	for _, w := range survivors {
-		scraped = append(scraped, scrape(t, w))
-	}
-	checked := 0
-	for _, f := range fleet {
-		if f.Kind != "counter" || !strings.HasPrefix(f.Name, "carbond") {
-			continue
-		}
-		fleetTotal, _ := famSum(fleet, f.Name)
-		var workerTotal float64
-		for _, fams := range scraped {
-			v, _ := famSum(fams, f.Name)
-			workerTotal += v
-		}
-		if fleetTotal != workerTotal {
-			t.Fatalf("federated %s = %v, survivors sum to %v — conservation violated", f.Name, fleetTotal, workerTotal)
-		}
-		checked++
-	}
-	if checked < 3 {
-		t.Fatalf("only %d carbond counter families federated — scrape too thin to trust", checked)
-	}
-}
-
-// waitAlert waits until rule is firing (or not) on /v1/fleet/alerts.
-func waitAlert(t *testing.T, router *Proc, rule string, firing bool) {
-	t.Helper()
-	reached := Poll(60*time.Second, func() bool {
-		var alerts []slo.Alert
-		if router.Get("/v1/fleet/alerts", &alerts) != http.StatusOK {
-			return false
-		}
-		got := false
-		for _, a := range alerts {
-			if a.Rule == rule && a.State == slo.StateFiring {
-				got = true
-			}
-		}
-		return got == firing
-	})
-	if !reached {
-		t.Fatalf("alert %q never reached firing=%v", rule, firing)
 	}
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // The binaries TestMain builds once for every scenario.
-var carbond, carbonfleet, carbontop, carbonstat string
+var carbond, carbonfleet, carbonstat string
 
 // TestMain builds the commands the scenarios drive, runs the scenarios,
 // and then fails the run if any process started from those binaries is
@@ -37,13 +37,13 @@ func run(m *testing.M) int {
 	}
 	defer os.RemoveAll(dir)
 	build := exec.Command("go", "build", "-o", dir, "carbon/cmd/carbond", "carbon/cmd/carbonfleet",
-		"carbon/cmd/carbontop", "carbon/cmd/carbonstat")
+		"carbon/cmd/carbonstat")
 	if out, err := build.CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "smoketest: go build: %v\n%s", err, out)
 		return 1
 	}
 	carbond, carbonfleet = filepath.Join(dir, "carbond"), filepath.Join(dir, "carbonfleet")
-	carbontop, carbonstat = filepath.Join(dir, "carbontop"), filepath.Join(dir, "carbonstat")
+	carbonstat = filepath.Join(dir, "carbonstat")
 
 	code := m.Run()
 	leaked, err := Scan(func(argv0 string) bool { return strings.HasPrefix(argv0, dir+string(filepath.Separator)) })

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -25,9 +26,34 @@ func WritePrometheus(w io.Writer, targets ...PromTarget) error {
 	return WriteFamilies(w, Families(targets...))
 }
 
+// Family is one metric family destined for the Prometheus text
+// exposition format: the model between a registry snapshot (Families)
+// and the renderer (WriteFamilies).
+type Family struct {
+	Name   string
+	Help   string
+	Kind   string // counter | gauge | summary | histogram
+	Series []Series
+}
+
+// Series is one labeled sample set within a family. Counter and gauge
+// series carry Value; summary series carry Count and Sum; histogram
+// series carry Bounds (ascending finite upper edges), the cumulative
+// Buckets counts aligned with them, and Count/Sum (Count is also the
+// implicit le="+Inf" bucket).
+type Series struct {
+	Labels map[string]string
+
+	Value float64
+
+	Bounds  []float64
+	Buckets []float64
+	Count   float64
+	Sum     float64
+}
+
 // Families converts the targets' registries, hand-rolled over
-// Registry.Snapshot, into the family model — exactly what ParseFamilies
-// reads back from WritePrometheus's text, without the text:
+// Registry.Snapshot, into the family model:
 //
 //   - counters      → counter
 //   - gauges        → gauge
@@ -96,6 +122,50 @@ func Families(targets ...PromTarget) []Family {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out
+}
+
+// labelKey is the series' identity inside a family: its label set
+// serialized with sorted keys.
+func labelKey(labels map[string]string) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k)
+		b.WriteByte('\x00')
+		b.WriteString(labels[k])
+		b.WriteByte('\x00')
+	}
+	return b.String()
+}
+
+func sortSeries(ss []Series) {
+	sort.Slice(ss, func(a, b int) bool { return labelKey(ss[a].Labels) < labelKey(ss[b].Labels) })
+}
+
+// WriteFamilies renders families, in the order given, in the text
+// exposition format: one HELP/TYPE header per family, escaped labels,
+// counts as integers. Families returns them sorted by name with sorted
+// series, so the output is deterministic.
+func WriteFamilies(w io.Writer, fams []Family) error {
+	for _, f := range fams {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
+			f.Name, promEscapeHelp(f.Help), f.Name, f.Kind); err != nil {
+			return err
+		}
+		for _, s := range f.Series {
+			if err := writeFamilySeries(w, f.Name, f.Kind, s); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // promName sanitizes a dotted instrument name into the exposition
@@ -207,4 +277,38 @@ func promCount(x float64) string {
 		return strconv.FormatInt(int64(x), 10)
 	}
 	return promFloat(x)
+}
+
+func writeFamilySeries(w io.Writer, name, kind string, s Series) error {
+	lbl := promLabels(s.Labels)
+	switch kind {
+	case "histogram":
+		for i, bound := range s.Bounds {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n",
+				name, promLabelsWith(s.Labels, "le", promFloat(bound)), promCount(s.Buckets[i])); err != nil {
+				return err
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %s\n",
+			name, promLabelsWith(s.Labels, "le", "+Inf"), promCount(s.Count)); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(s.Sum)); err != nil {
+			return err
+		}
+		_, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promCount(s.Count))
+		return err
+	case "summary":
+		if _, err := fmt.Fprintf(w, "%s_count%s %s\n", name, lbl, promCount(s.Count)); err != nil {
+			return err
+		}
+		_, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, lbl, promFloat(s.Sum))
+		return err
+	case "counter":
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, lbl, promCount(s.Value))
+		return err
+	default:
+		_, err := fmt.Fprintf(w, "%s%s %s\n", name, lbl, promFloat(s.Value))
+		return err
+	}
 }
