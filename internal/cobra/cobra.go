@@ -41,6 +41,7 @@ package cobra
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"carbon/internal/archive"
 	"carbon/internal/bcpop"
@@ -134,6 +135,10 @@ func (c *Config) Validate() error {
 type llEntry struct {
 	x      []bool
 	gapPct float64
+}
+
+func (e llEntry) clone() llEntry {
+	return llEntry{x: append([]bool(nil), e.x...), gapPct: e.gapPct}
 }
 
 // Result summarizes one COBRA run.
@@ -271,8 +276,8 @@ func (s *state) initPops() {
 	s.fitU = make([]float64, cfg.ULPopSize)
 	s.fitL = make([]float64, cfg.LLPopSize)
 	s.gapL = make([]float64, cfg.LLPopSize)
-	s.archU = archive.New[[]float64](cfg.ULArchiveSize, false, nil)
-	s.archL = archive.New[llEntry](cfg.LLArchiveSize, true, nil)
+	s.archU = archive.New(cfg.ULArchiveSize, false, nil, slices.Clone[[]float64])
+	s.archL = archive.New(cfg.LLArchiveSize, true, nil, llEntry.clone)
 	s.res = &Result{}
 
 	// Initial partners: the first individuals of each population.
@@ -373,7 +378,7 @@ func (s *state) upperGeneration() error {
 	}
 	s.bestX = append(s.bestX[:0], s.popU[bestI]...)
 	for i, x := range s.popU {
-		s.archU.Add(append([]float64(nil), x...), s.fitU[i])
+		s.archU.Add(x, s.fitU[i])
 	}
 	if err := s.record(); err != nil {
 		return err
@@ -398,7 +403,7 @@ func (s *state) lowerGeneration() error {
 	}
 	s.bestY = append(s.bestY[:0], s.popL[bestI]...)
 	for i, y := range s.popL {
-		s.archL.Add(llEntry{x: append([]bool(nil), y...), gapPct: s.gapL[i]}, s.fitL[i])
+		s.archL.Add(llEntry{x: y, gapPct: s.gapL[i]}, s.fitL[i])
 	}
 	if err := s.record(); err != nil {
 		return err
@@ -444,8 +449,8 @@ func (s *state) coevolution() error {
 	s.ulUsed += len(pairs)
 	s.llUsed += len(pairs)
 	for i, p := range pairs {
-		s.archU.Add(append([]float64(nil), s.popU[p.u]...), outs[i].Revenue)
-		s.archL.Add(llEntry{x: append([]bool(nil), s.popL[p.l]...), gapPct: outs[i].GapPct}, outs[i].LLCost)
+		s.archU.Add(s.popU[p.u], outs[i].Revenue)
+		s.archL.Add(llEntry{x: s.popL[p.l], gapPct: outs[i].GapPct}, outs[i].LLCost)
 		if outs[i].Revenue > s.bestRevenueSoFar() {
 			s.bestX = append(s.bestX[:0], s.popU[p.u]...)
 		}

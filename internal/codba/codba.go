@@ -20,6 +20,7 @@ package codba
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"carbon/internal/archive"
 	"carbon/internal/bcpop"
@@ -139,8 +140,8 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 	}
 	fit := make([]float64, cfg.ULPopSize)
 	gaps := make([]float64, cfg.ULPopSize)
-	ulArch := archive.New[[]float64](cfg.ULArchiveSize, false, nil)
-	llArch := archive.New[[]bool](cfg.LLArchiveSize, true, nil)
+	ulArch := archive.New(cfg.ULArchiveSize, false, nil, slices.Clone[[]float64])
+	llArch := archive.New(cfg.LLArchiveSize, true, nil, slices.Clone[[]bool])
 
 	res := &Result{}
 	ulUsed, llUsed := 0, 0
@@ -180,7 +181,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 			}
 		}
 		for i, x := range pop {
-			if ulArch.Add(append([]float64(nil), x...), fit[i]) && i == bestI {
+			if ulArch.Add(x, fit[i]) && i == bestI {
 				bestGap = gaps[i]
 			}
 		}
@@ -199,7 +200,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 		if llUsed < cfg.LLEvalBudget {
 			if out, basket, err := evs[0].EvalSelection(pop[bestI], make([]bool, m)); err == nil {
 				llUsed++
-				llArch.Add(append([]bool(nil), basket...), out.LLCost)
+				llArch.Add(basket, out.LLCost)
 			}
 		}
 

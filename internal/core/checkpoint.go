@@ -133,7 +133,7 @@ func Restore(mk *bcpop.Market, cfg Config, st *checkpoint.State) (*Engine, error
 	// Nothing can be evicted during the rebuild: the archive holds at
 	// most cap entries and only fills up on the last Add.
 	for i := range st.ULArchP {
-		e.ulArch.Add(append([]float64(nil), st.ULArchP[i]...), st.ULArchF[i])
+		e.ulArch.Add(st.ULArchP[i], st.ULArchF[i])
 	}
 	for i := range st.GPArchT {
 		t, err := gp.Parse(e.set, st.GPArchT[i])

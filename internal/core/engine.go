@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -230,9 +231,9 @@ func NewEngine(mk *bcpop.Market, cfg Config) (*Engine, error) {
 	e.preyErr = make([]error, cfg.ULPopSize)
 	e.predErr = make([]error, cfg.LLPopSize)
 	e.predQuar = make([]bool, cfg.LLPopSize)
-	e.ulArch = archive.New[[]float64](cfg.ULArchiveSize, false, priceKey)
-	e.gpArch = archive.New[gp.Tree](cfg.LLArchiveSize, true,
-		func(t gp.Tree) string { return t.String(set) })
+	e.ulArch = archive.New(cfg.ULArchiveSize, false, priceKey, slices.Clone[[]float64])
+	e.gpArch = archive.New(cfg.LLArchiveSize, true,
+		func(t gp.Tree) string { return t.String(set) }, gp.Tree.Clone)
 	return e, nil
 }
 
@@ -724,7 +725,7 @@ func (e *Engine) archivePredators() (best, adds int) {
 		if best < 0 || e.predFit[i] < e.predFit[best] {
 			best = i
 		}
-		if e.gpArch.Add(t.Clone(), e.predFit[i]) {
+		if e.gpArch.Add(t, e.predFit[i]) {
 			adds++
 		}
 	}
@@ -736,7 +737,7 @@ func (e *Engine) archivePredators() (best, adds int) {
 // a made-up fitness.
 func (e *Engine) archivePrey() (adds int) {
 	for i, x := range e.prey {
-		if e.preyErr[i] == nil && e.ulArch.Add(append([]float64(nil), x...), e.preyFit[i]) {
+		if e.preyErr[i] == nil && e.ulArch.Add(x, e.preyFit[i]) {
 			adds++
 		}
 	}

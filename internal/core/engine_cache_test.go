@@ -249,6 +249,43 @@ func TestInjectAtMaxElites(t *testing.T) {
 	}
 }
 
+// TestNoBetterGenerationArchivesFree: once both archives are full, a
+// generation in which no predator and no prey beats the worst archived
+// entry costs the archives nothing: no key is built and nothing copied.
+func TestNoBetterGenerationArchivesFree(t *testing.T) {
+	cfg := smallConfig(3)
+	cfg.ULEvalBudget = 1 << 30
+	cfg.LLEvalBudget = 1 << 30
+	e, err := NewEngine(smallMarket(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; e.ulArch.Len() < cfg.ULArchiveSize || e.gpArch.Len() < cfg.LLArchiveSize; gen++ {
+		if gen == 50 || !e.Step() {
+			t.Fatalf("archives not full after %d generations (%v)", gen, e.Err())
+		}
+	}
+	worstPrey := e.ulArch.At(e.ulArch.Len() - 1).Fitness
+	worstPred := e.gpArch.At(e.gpArch.Len() - 1).Fitness
+	for i := range e.preyFit {
+		e.preyFit[i], e.preyErr[i] = worstPrey, nil
+	}
+	for i := range e.predFit {
+		e.predFit[i], e.predQuar[i] = worstPred, false
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, adds := e.archivePredators(); adds != 0 {
+			t.Fatalf("GP archive admitted %d no-better predators", adds)
+		}
+		if adds := e.archivePrey(); adds != 0 {
+			t.Fatalf("UL archive admitted %d no-better prey", adds)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("offering a no-better generation allocated %v times", allocs)
+	}
+}
+
 // BenchmarkEngineStep times whole generations on a mid-size market and
 // reports the measured LP solves per generation — the headline number
 // of the shared-relaxation cache (was L×S+U = 48 per generation at

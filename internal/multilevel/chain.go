@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"carbon/internal/archive"
 	"carbon/internal/covering"
@@ -413,7 +414,7 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 	fit := make([]float64, cfg.PopSize)
 	lower := func(i, j int) bool { return fit[i] < fit[j] }
 	higher := func(i, j int) bool { return fit[i] > fit[j] }
-	archA := archive.New[[]float64](cfg.PopSize, false, nil)
+	archA := archive.New(cfg.PopSize, false, nil, slices.Clone[[]float64])
 	res := &ChainResult{BestRevenues: make([]float64, d+1)}
 	bestGapSeen := math.Inf(1)
 
@@ -471,7 +472,7 @@ func RunChain(cm *ChainMarket, cfg Config) (*ChainResult, error) {
 			}
 		}
 		for i, x := range popA {
-			archA.Add(append([]float64(nil), x...), fit[i])
+			archA.Add(x, fit[i])
 		}
 		popA, _ = leader.Breed(r, popA, higher, bounds)
 

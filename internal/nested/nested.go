@@ -15,6 +15,7 @@ package nested
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"carbon/internal/archive"
 	"carbon/internal/bcpop"
@@ -120,7 +121,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 	}
 	fit := make([]float64, cfg.PopSize)
 	gaps := make([]float64, cfg.PopSize)
-	arch := archive.New[[]float64](cfg.ArchiveSize, false, nil)
+	arch := archive.New(cfg.ArchiveSize, false, nil, slices.Clone[[]float64])
 
 	res := &Result{}
 	ulUsed, llUsed := 0, 0
@@ -167,7 +168,7 @@ func Run(mk *bcpop.Market, cfg Config) (*Result, error) {
 			}
 		}
 		for i, x := range pop {
-			if arch.Add(append([]float64(nil), x...), fit[i]) && i == bestI {
+			if arch.Add(x, fit[i]) && i == bestI {
 				bestGap = gaps[i]
 			}
 		}
