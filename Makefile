@@ -41,16 +41,18 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Differential fuzzing of the GP evaluator, 10 s per target: the lane
-# VM against the tree walker (FuzzCompiledEval), the exact fmod against
-# math.Mod (FuzzMod) and the S-expression parser (FuzzParse). go test
-# fuzzes one target per invocation. Not part of `check`; the seed
-# corpora already run as ordinary tests there.
+# Fuzzing, 10 s per target: the lane VM against the tree walker
+# (FuzzCompiledEval), the exact fmod against math.Mod (FuzzMod), the
+# S-expression parser (FuzzParse) and the LP's warm start from garbled
+# bases (FuzzSolveFromBasis: a certified optimum or the cold solve, never
+# a panic). go test fuzzes one target per invocation. Not part of
+# `check`; the seed corpora already run as ordinary tests there.
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/gp/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveFromBasis$$' -fuzztime 10s ./internal/lp/
 
 # One-iteration pass over every benchmark under internal/: proves each
 # still runs, without paying for measurement, and fails when any does.

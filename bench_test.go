@@ -23,6 +23,7 @@ import (
 	"carbon/internal/core"
 	"carbon/internal/covering"
 	"carbon/internal/gp"
+	"carbon/internal/lp"
 	"carbon/internal/orlib"
 	"carbon/internal/stats"
 )
@@ -182,8 +183,9 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkPairedEvaluation measures the single hot operation both
 // algorithms are built from: one (pricing, heuristic) paired evaluation
-// on the figure-class market (warm LP relaxation + tree scoring +
-// greedy).
+// on the figure-class market (LP relaxation warm-started from the
+// previous pricing's basis, one price away, as a child's starts from its
+// parent's + tree scoring + greedy).
 func BenchmarkPairedEvaluation(b *testing.B) {
 	mk := benchMarket(b, figClass)
 	set := covering.TableISet()
@@ -197,12 +199,18 @@ func BenchmarkPairedEvaluation(b *testing.B) {
 	for j := range price {
 		price[j] = bounds.Up[j] / 2
 	}
+	var start *lp.Basis
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		price[i%len(price)] = bounds.Up[0] * float64(i%7+1) / 8
-		if _, _, err := ev.EvalTree(price, tree); err != nil {
+		p, err := ev.PrepareFrom(price, start)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, _, err := ev.EvalTreeWith(p, tree); err != nil {
+			b.Fatal(err)
+		}
+		start = p.Rx.Basis
 	}
 }

@@ -22,6 +22,7 @@ import (
 
 	"carbon/internal/covering"
 	"carbon/internal/gp"
+	"carbon/internal/lp"
 )
 
 // ErrNotPrepared reports an evaluation against a cache slot that was
@@ -49,32 +50,35 @@ func Key(price []float64) string {
 // Prepared is a frozen evaluation context for one pricing decision: the
 // induced lower-level instance (owning its cost vector) and, when it
 // came from Prepare, its LP relaxation (whose dual/x̄ slices each solve
-// allocates fresh), plus the price vector that induced them. Rx is nil
-// in a context built by Induce. A Prepared is immutable once returned,
-// so any number of workers may evaluate against it concurrently.
+// allocates fresh, and whose Basis later solves may start from), plus
+// the price vector that induced them. Rx is nil in a context built by
+// Induce. A Prepared is immutable once returned, so any number of
+// workers may evaluate against it concurrently.
 type Prepared struct {
 	Price []float64
 	In    *covering.Instance
 	Rx    *covering.Relaxation
 }
 
-// Prepare solves the LP relaxation of the instance induced by price and
-// freezes the result into a Prepared context. The solve warm-starts
-// from the evaluator's current basis — consecutive Prepares on one
-// evaluator chain their bases exactly like consecutive EvalTrees did,
-// which is 2-3x cheaper than solving cold (see
-// BenchmarkRelaxWarmRotating vs BenchmarkRelaxColdRotating). The
-// returned context is therefore a function of (price, this evaluator's
-// solve history); callers that need reproducible contexts must control
-// that history — the engine does so by calling ResetWarm on every
-// evaluator at each generation boundary and striping the solve wave
-// deterministically, and COBRA by calling ResetWarm before every
-// Prepare.
-//
-// Each Prepare is one real LP solve: it increments Metrics.LPSolves and
-// Metrics.CacheMisses.
+// Prepare solves the LP relaxation of the instance induced by price
+// cold and freezes the result into a Prepared context. It is
+// PrepareFrom(price, nil).
 func (ev *Evaluator) Prepare(price []float64) (*Prepared, error) {
-	rx, err := ev.Relax(price)
+	return ev.PrepareFrom(price, nil)
+}
+
+// PrepareFrom is Prepare with the solve starting from the basis start
+// (nil = cold; see lp.WarmSolver.SolveFrom). The context is a pure
+// function of (price, start): which evaluator solves it, and what that
+// evaluator solved before, changes no bit. Its Rx.Basis is the final
+// basis, which the engine hands to the prey's children — a child's LP
+// differs from its parent's only in the leader's prices, so it
+// re-optimizes in a fraction of a cold solve's pivots.
+//
+// Each PrepareFrom is one real LP solve: it increments Metrics.LPSolves
+// and Metrics.CacheMisses and adds its pivots to Metrics.LPPivots.
+func (ev *Evaluator) PrepareFrom(price []float64, start *lp.Basis) (*Prepared, error) {
+	rx, err := ev.relaxFrom(price, start)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"carbon/internal/covering"
+	"carbon/internal/lp"
 	"carbon/internal/rng"
 	"carbon/internal/telemetry"
 )
@@ -45,14 +46,11 @@ func TestEvalTreeWithMatchesEvalTree(t *testing.T) {
 		price := mk.PriceBounds().RandomVector(r)
 		tree := set.Ramped(r, 1, 3)
 
-		// Reset before each solve so both start from the same solver
-		// state — the relaxation must then match bit-for-bit.
-		ev.ResetWarm()
+		// Both solve cold, so the relaxations match bit for bit.
 		direct, basketD, err := ev.EvalTree(price, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.ResetWarm()
 		p, err := ev.Prepare(price)
 		if err != nil {
 			t.Fatal(err)
@@ -328,8 +326,8 @@ func benchPrices(b *testing.B, mk *Market, n int) [][]float64 {
 	return out
 }
 
-// BenchmarkPrepare prices the cache's cost side as the engine pays it:
-// a warm-chained solve per distinct genotype plus the context copies.
+// BenchmarkPrepare prices the cache's cost side on a cold start: one
+// solve per distinct genotype plus the context copies.
 func BenchmarkPrepare(b *testing.B) {
 	mk := testMarket(b, 500, 30, 50)
 	set := covering.TableISet()
@@ -347,40 +345,61 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// The pair below justifies warm-chaining Prepare instead of solving
-// cold: rotating through 16 distinct genotypes, a warm-started solve is
-// 2-3x cheaper than a cold one on the 500x30 class.
+// The three benchmarks below rotate through 16 distinct genotypes and
+// justify starting each solve from the parent's basis: cold, from the
+// basis of an unrelated genotype (what a warm chain across a population
+// gives), and from the basis of a parent one mutation away.
 func BenchmarkRelaxColdRotating(b *testing.B) {
-	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prices := benchPrices(b, mk, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.ResetWarm()
-		if _, err := ev.Relax(prices[i%len(prices)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRelaxFrom(b, func(ev *Evaluator, prices [][]float64, i int) (*lp.Basis, []float64) {
+		return nil, prices[i%len(prices)]
+	})
 }
 
 func BenchmarkRelaxWarmRotating(b *testing.B) {
+	benchRelaxFrom(b, func(ev *Evaluator, prices [][]float64, i int) (*lp.Basis, []float64) {
+		p, err := ev.Prepare(prices[(i+1)%len(prices)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p.Rx.Basis, prices[i%len(prices)]
+	})
+}
+
+func BenchmarkRelaxFromParent(b *testing.B) {
+	benchRelaxFrom(b, func(ev *Evaluator, prices [][]float64, i int) (*lp.Basis, []float64) {
+		parent := prices[i%len(prices)]
+		p, err := ev.Prepare(parent)
+		if err != nil {
+			b.Fatal(err)
+		}
+		child := append([]float64(nil), parent...)
+		child[i%len(child)] *= 0.9
+		return p.Rx.Basis, child
+	})
+}
+
+// benchRelaxFrom times only the solve from the start basis and price
+// that setup returns for iteration i.
+func benchRelaxFrom(b *testing.B, setup func(ev *Evaluator, prices [][]float64, i int) (*lp.Basis, []float64)) {
 	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
+	ev, err := NewEvaluator(mk, covering.TableISet())
 	if err != nil {
 		b.Fatal(err)
 	}
 	prices := benchPrices(b, mk, 16)
+	pivots := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Relax(prices[i%len(prices)]); err != nil {
+		b.StopTimer()
+		start, price := setup(ev, prices, i)
+		b.StartTimer()
+		rx, err := ev.relaxFrom(price, start)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pivots += rx.Pivots
 	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
 
 // TestUnpreparedSlotTypedError drives the fault-injected path that used

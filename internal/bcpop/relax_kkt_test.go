@@ -10,12 +10,13 @@ import (
 	"carbon/internal/rng"
 )
 
-// TestRelaxerKKTSweep certifies the warm-chained relaxations the engine
-// relies on: on each of the nine §V-A classes (whose covering matrices
-// are fully dense) and on one block-diagonal multi-customer market
-// (sparse), a stream of random leader pricings through one
-// covering.Relaxer must yield KKT-certified optima whose LB matches a
-// cold solve of the same LP.
+// TestRelaxerKKTSweep certifies the relaxations the engine relies on:
+// on each of the nine §V-A classes (whose covering matrices are fully
+// dense) and on one block-diagonal multi-customer market (sparse), a
+// stream of leader pricings through one covering.Relaxer, each started
+// from the previous pricing's final basis — every other one a mutation
+// of the previous, like a child of its parent — must yield
+// KKT-certified optima whose LB matches a cold solve of the same LP.
 func TestRelaxerKKTSweep(t *testing.T) {
 	type market struct {
 		name  string
@@ -53,14 +54,25 @@ func TestRelaxerKKTSweep(t *testing.T) {
 				up[j] = 1
 			}
 			r := rng.New(17)
+			bounds := mc.mk.PriceBounds()
+			price := bounds.RandomVector(r)
+			var start *lp.Basis
 			for k := 0; k < 16; k++ {
-				costs, err := mc.mk.Costs(mc.mk.PriceBounds().RandomVector(r), nil)
+				if k%2 == 0 {
+					price = bounds.RandomVector(r)
+				} else {
+					price[r.Intn(len(price))] = r.Range(bounds.Lo[0], bounds.Up[0])
+				}
+				costs, err := mc.mk.Costs(price, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				warm, err := rx.Relax(costs)
+				warm, err := rx.RelaxFrom(costs, start)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if start = warm.Basis; start == nil {
+					t.Fatalf("pricing %d: no final basis", k)
 				}
 				p := &lp.Problem{C: costs, A: in.Q, Rel: rel, B: in.B, Lo: lo, Up: up}
 				sol := &lp.Solution{

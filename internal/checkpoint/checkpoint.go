@@ -46,10 +46,12 @@ const Schema = "carbon.checkpoint/v2"
 // vectors as plain float slices, so the file stays inspectable with any
 // JSON tool.
 //
+// PreyBases holds, per prey, the encoded LP basis its next relaxation
+// starts from (lp.Basis.MarshalBinary; empty for a parentless prey).
+// It is optional: a state without it restores every prey parentless.
+//
 // What is deliberately NOT stored: the market (instances are regenerable
-// from their (class, index) spec or loadable from OR-library files) and
-// the warm-LP solver caches (the first generation after resume re-warms
-// them; see the determinism note on core.Restore).
+// from their (class, index) spec or loadable from OR-library files).
 type State struct {
 	// Fingerprint identifies the (config, market shape) pair the state
 	// belongs to. core.Restore refuses a mismatch.
@@ -69,6 +71,7 @@ type State struct {
 	ULCurveY  []float64   `json:"ul_curve_y"`
 	GapCurveX []float64   `json:"gap_curve_x"`
 	GapCurveY []float64   `json:"gap_curve_y"`
+	PreyBases [][]byte    `json:"prey_bases,omitempty"`
 }
 
 // envelope is the on-disk frame around a State.
@@ -106,6 +109,8 @@ func (st *State) Validate() error {
 		return errors.New("checkpoint: UL curve arrays disagree")
 	case len(st.GapCurveX) != len(st.GapCurveY):
 		return errors.New("checkpoint: gap curve arrays disagree")
+	case len(st.PreyBases) != 0 && len(st.PreyBases) != len(st.Prey):
+		return fmt.Errorf("checkpoint: %d prey bases for %d prey", len(st.PreyBases), len(st.Prey))
 	}
 	dim := len(st.Prey[0])
 	if dim == 0 {

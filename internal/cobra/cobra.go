@@ -291,8 +291,8 @@ func (s *state) llBudgetLeft(n int) bool { return s.llUsed+n <= s.cfg.LLEvalBudg
 // relax returns the cold LP relaxation of each price, in order. A price
 // already in the memo costs nothing; the distinct new ones are solved
 // before any worker repairs against them, one stripe per evaluator, each
-// from a reset basis. A relaxation is therefore a pure function of its
-// price: neither Workers nor the memo's lifetime changes a bit of it.
+// cold. A relaxation is therefore a pure function of its price: neither
+// Workers nor the memo's lifetime changes a bit of it.
 func (s *state) relax(prices ...[]float64) ([]*bcpop.Prepared, error) {
 	slots := make([]int, len(prices))
 	var fresh []int
@@ -304,9 +304,7 @@ func (s *state) relax(prices ...[]float64) ([]*bcpop.Prepared, error) {
 		}
 	}
 	err := evalStriped(len(fresh), s.workers, func(i, w int) error {
-		ev := s.evs[w]
-		ev.ResetWarm()
-		p, err := ev.Prepare(prices[fresh[i]])
+		p, err := s.evs[w].Prepare(prices[fresh[i]])
 		if err != nil {
 			return err
 		}

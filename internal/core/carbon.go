@@ -23,15 +23,12 @@
 // epistasis that breaks naive two-population co-evolution.
 //
 // Determinism: a run is reproducible bit-for-bit for a fixed
-// (Config.Seed, Config.Workers) pair. Every generation's LP relaxations
+// Config.Seed, at any Config.Workers. Every generation's LP relaxations
 // are solved once per distinct prey genotype (the shared-relaxation
-// cache, DESIGN.md §5e) in a warm-chained wave whose striping across
-// workers is deterministic; warm bases are discarded at every
-// generation boundary, so no solver history crosses generations and a
-// restored snapshot continues exactly. Changing Workers re-stripes the
-// warm chains and may select alternative optimal LP bases — same
-// bounds, different duals — so cross-worker-count bit-identity is not
-// promised.
+// cache, DESIGN.md §5e), each starting from the final LP basis of the
+// prey's nearer parent, so each is a pure function of (genotype, start
+// basis) whichever worker solves it. Snapshots carry the start bases,
+// so a restored run continues exactly.
 package core
 
 import (

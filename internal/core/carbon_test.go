@@ -132,14 +132,12 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunReproduciblePerWorkerCount(t *testing.T) {
-	// Determinism contract: identical (seed, workers) pairs reproduce
-	// bit-for-bit — the precompute wave stripes the distinct prey
-	// genotypes contiguously and each worker warm-chains its stripe in
-	// order. Across *different* worker counts the chains re-stripe and
-	// the warm solvers may return alternative optimal bases (different
-	// duals, same bound), so only same-worker-count reproducibility is
-	// promised. See DESIGN.md §5e.
+	// Determinism contract: a seed reproduces bit-for-bit, at any worker
+	// count — every relaxation starts from the prey's inherited basis
+	// (or, parentless, from one solved before the wave), never from a
+	// worker's solve history. See DESIGN.md §5e.
 	mk := smallMarket(t)
+	var first map[string]any
 	for _, workers := range []int{1, 3, 4} {
 		cfg := smallConfig(9)
 		cfg.Workers = workers
@@ -153,6 +151,11 @@ func TestRunReproduciblePerWorkerCount(t *testing.T) {
 		}
 		if !reflect.DeepEqual(resultKey(a), resultKey(b)) {
 			t.Fatalf("workers=%d: same config diverged", workers)
+		}
+		if first == nil {
+			first = resultKey(a)
+		} else if !reflect.DeepEqual(resultKey(a), first) {
+			t.Fatalf("workers=%d: result differs from workers=1", workers)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"carbon/internal/bcpop"
 	"carbon/internal/checkpoint"
 	"carbon/internal/gp"
+	"carbon/internal/lp"
 )
 
 // fingerprint identifies the configuration a snapshot belongs to; a
@@ -70,6 +71,12 @@ func (e *Engine) Snapshot() (*checkpoint.State, error) {
 	st.ULCurveY = append([]float64(nil), e.res.ULCurve.Y...)
 	st.GapCurveX = append([]float64(nil), e.res.GapCurve.X...)
 	st.GapCurveY = append([]float64(nil), e.res.GapCurve.Y...)
+	st.PreyBases = make([][]byte, len(e.prey))
+	for i, b := range e.preyBasis {
+		if b != nil {
+			st.PreyBases[i], _ = b.MarshalBinary()
+		}
+	}
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,13 +84,12 @@ func (e *Engine) Snapshot() (*checkpoint.State, error) {
 }
 
 // Restore rebuilds an engine from a snapshot taken under the same market
-// and configuration. For a fixed (Config.Seed, Config.Workers) pair the
-// restored run is bit-identical to the uninterrupted one: the PRNG
-// stream continues exactly, and Step resets the warm-LP bases at every
-// generation boundary, so no solver history leaks across the snapshot
-// (see TestSnapshotRestoreGolden). Changing Workers between snapshot and
-// restore re-stripes evaluation and voids the guarantee, exactly as it
-// does for a fresh run.
+// and configuration. The restored run is bit-identical to the
+// uninterrupted one, at any Workers: the PRNG stream continues exactly,
+// and every prey's relaxation starts from the basis the snapshot
+// recorded for it (see TestSnapshotRestoreGolden). A basis that does
+// not decode or does not fit the market restores that prey parentless,
+// as does a snapshot without bases.
 //
 // Restore lives in core rather than package checkpoint because it needs
 // the whole engine; checkpoint stays pure data so spool tooling can link
@@ -115,6 +121,12 @@ func Restore(mk *bcpop.Market, cfg Config, st *checkpoint.State) (*Engine, error
 				i, len(x), mk.Leaders())
 		}
 		e.prey[i] = append([]float64(nil), x...)
+	}
+	for i, data := range st.PreyBases {
+		b := new(lp.Basis)
+		if len(data) > 0 && b.UnmarshalBinary(data) == nil && b.Fits(mk.Services(), mk.Bundles()) {
+			e.preyBasis[i] = b
+		}
 	}
 	for i, src := range st.Predators {
 		t, err := gp.Parse(e.set, src)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -39,7 +40,8 @@ func TestRngStateRoundTrip(t *testing.T) {
 // contract: for a fixed seed, {run to generation k, snapshot through the
 // full serialized format, restore, run to completion} must yield a
 // Result identical to the uninterrupted run — same best pairing, same
-// fitnesses, same convergence curves, same budget accounting.
+// fitnesses, same convergence curves, same budget accounting — also
+// when the restored engine runs with a different number of workers.
 func TestSnapshotRestoreGolden(t *testing.T) {
 	mk := smallMarket(t)
 	cfg := smallConfig(77)
@@ -75,7 +77,9 @@ func TestSnapshotRestoreGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Restore(mk, cfg, loaded)
+		other := cfg
+		other.Workers = 1 + k%3
+		e2, err := Restore(mk, other, loaded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,4 +367,86 @@ func FuzzRestore(f *testing.F) {
 		}
 		e.Step()
 	})
+}
+
+// TestRestoreBadBasesRestoresParentless: a checkpoint whose prey bases
+// are truncated, out of range for the market or garbage restores those
+// prey parentless (their relaxations start like a migrant's) and keeps
+// the good bases; a checkpoint without bases restores every prey
+// parentless; a basis list of the wrong length is rejected. Every
+// restored engine steps without error.
+func TestRestoreBadBasesRestoresParentless(t *testing.T) {
+	mk := smallMarket(t)
+	cfg := smallConfig(21)
+	e, err := NewEngine(mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Step()
+	e.Step()
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.PreyBases) != cfg.ULPopSize || len(st.PreyBases[5]) == 0 {
+		t.Fatalf("snapshot carries %d prey bases, want %d non-empty", len(st.PreyBases), cfg.ULPopSize)
+	}
+	rows, words := mk.Services(), (mk.Bundles()+63)/64
+	outOfRange := binary.AppendUvarint(nil, uint64(rows))
+	outOfRange = binary.AppendUvarint(outOfRange, uint64(words))
+	for i := 0; i < rows; i++ {
+		outOfRange = binary.AppendUvarint(outOfRange, uint64(mk.Bundles()+rows+i))
+	}
+	outOfRange = append(outOfRange, make([]byte, 8*words)...)
+	bad := map[int][]byte{
+		0: st.PreyBases[0][:len(st.PreyBases[0])/2],
+		1: outOfRange,
+		2: []byte("garbage"),
+	}
+	for i, data := range bad {
+		st.PreyBases[i] = data
+	}
+	restore := func(st *checkpoint.State) *Engine {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := st.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := checkpoint.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(mk, cfg, loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	step := func(r *Engine) {
+		t.Helper()
+		if !r.Step() || r.Err() != nil {
+			t.Fatalf("restored engine failed to step: %v", r.Err())
+		}
+	}
+	r := restore(st)
+	for i, b := range r.preyBasis {
+		if _, isBad := bad[i]; isBad != (b == nil) {
+			t.Errorf("prey %d: restored basis %v, corrupted %v", i, b != nil, isBad)
+		}
+	}
+	step(r)
+
+	st.PreyBases = nil
+	r = restore(st)
+	for i, b := range r.preyBasis {
+		if b != nil {
+			t.Fatalf("prey %d has a basis after a restore without bases", i)
+		}
+	}
+	step(r)
+
+	st.PreyBases = make([][]byte, cfg.ULPopSize-1)
+	if _, err := Restore(mk, cfg, st); err == nil {
+		t.Fatal("prey basis list of the wrong length accepted")
+	}
 }

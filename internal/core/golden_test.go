@@ -47,29 +47,30 @@ func checkRunGoldens(t *testing.T, goldens []runGolden) {
 // TestExactModeGoldenBitIdentical pins the paper-faithful path: the
 // final Result of a whole run must reproduce, bit for bit and across
 // seeds and worker counts, the constants captured from the engine's
-// exact path before it ever had an optional LP-skipping mode. If this
-// test fails, the default path changed behavior, which refactors must
-// never do.
+// exact path. If this test fails, the default path changed behavior,
+// which refactors must never do.
 func TestExactModeGoldenBitIdentical(t *testing.T) {
 	checkRunGoldens(t, []runGolden{
 		{7, 1, 12, 0x40a40149693b4ae7, 0x4018d9b5fc683eda, "(- (% (* c xbar) (- b q)) (* (mod b xbar) (% d d)))"},
-		{41, 1, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796eb, "xbar"},
+		{41, 1, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796f2, "xbar"},
 		{7, 2, 12, 0x40a40149693b4ae7, 0x4018d9b5fc683eda, "(- (% (* c xbar) (- b q)) (* (mod b xbar) (% d d)))"},
-		{41, 2, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796eb, "xbar"},
+		{41, 2, 12, 0x40a0e267b5f2dfb0, 0x40146402a48796f2, "xbar"},
 	})
 }
 
-// TestCompiledRunGolden pins the bytecode evaluation path. The
-// constants were captured from an engine that could still evaluate
-// predators with the tree-walking interpreter, where a whole-run
-// equality test proved both paths bit-identical on exactly these
-// (Seed, Workers) pairs — so they pin the interpreter's results too,
-// which stays the test oracle of the VM (gp.FuzzCompiledEval).
+// TestCompiledRunGolden pins the bytecode evaluation path, and that a
+// run's bits do not depend on Workers: every prey's relaxation starts
+// from its nearer parent's basis, never from a worker's solve history,
+// so Workers 1 to 4 must all give the same Result. The predator
+// evaluations behind it were once proved bit-identical to the
+// tree-walking interpreter, which stays the test oracle of the VM
+// (gp.FuzzCompiledEval).
 func TestCompiledRunGolden(t *testing.T) {
-	checkRunGoldens(t, []runGolden{
-		{3, 1, 12, 0x40a80171c0f9ee7e, 0x4000263f45aad50c, "(% (* c xbar) (- xbar (- xbar c)))"},
-		{3, 3, 12, 0x40a80171c0f9ee7e, 0x4000263f45aad50c, "(% (* c xbar) (- xbar (- xbar c)))"},
-		{17, 1, 12, 0x40a2bb587d6a9d44, 0x4010c243470544c3, "(+ xbar xbar)"},
-		{17, 3, 12, 0x40a2bb587d6a9d44, 0x4010c243470544a7, "(+ xbar xbar)"},
-	})
+	var goldens []runGolden
+	for workers := 1; workers <= 4; workers++ {
+		goldens = append(goldens,
+			runGolden{3, workers, 12, 0x40a80171c0f9ee7e, 0x4000263f45aad50b, "(% (* c xbar) (- xbar (- xbar c)))"},
+			runGolden{17, workers, 12, 0x40a2bb587d6a9d44, 0x4010c243470544b5, "(+ xbar xbar)"})
+	}
+	checkRunGoldens(t, goldens)
 }

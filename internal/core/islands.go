@@ -109,9 +109,9 @@ func migrateShard(islands []int, engines []*Engine, ic IslandConfig, tr Transpor
 // RunIslands executes the island model. The per-level evaluation budgets
 // of cfg are split evenly across the islands, so an island run is
 // budget-comparable to a single Run with the same cfg. Each island gets
-// a distinct seed derived from cfg.Seed; reproducibility follows the
-// usual per-(seed, workers) contract with Workers pinned to 1 inside
-// each island (parallelism comes from stepping islands concurrently).
+// a distinct seed derived from cfg.Seed, and Workers is pinned to 1
+// inside each island (parallelism comes from stepping islands
+// concurrently).
 func RunIslands(mk *bcpop.Market, cfg Config, ic IslandConfig) (*IslandResult, error) {
 	return RunIslandsContext(context.Background(), mk, cfg, ic)
 }

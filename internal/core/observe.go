@@ -23,7 +23,7 @@ const (
 // written to trace files. All population statistics refer to the
 // generation that was just evaluated (the pre-breeding populations);
 // the timing fields are wall-clock and therefore vary run to run, while
-// everything else is deterministic per (seed, workers).
+// everything else is deterministic per seed.
 type GenStats struct {
 	Label  string `json:"label,omitempty"` // Config.RunLabel, tags multi-run traces
 	Island int    `json:"island"`          // island index; 0 for single-engine runs
@@ -48,6 +48,10 @@ type GenStats struct {
 
 	EvalNanos  int64 `json:"eval_ns"`  // wall time spent in paired evaluations
 	BreedNanos int64 `json:"breed_ns"` // wall time spent breeding both populations
+
+	// LPPivots is the number of simplex steps this generation's
+	// relaxation wave took, summed over its distinct prey.
+	LPPivots int `json:"lp_pivots,omitempty"`
 
 	// Faults is the cumulative count of quarantined evaluations (see
 	// Engine.Faults); 0 — and omitted from traces — on healthy runs.

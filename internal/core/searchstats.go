@@ -14,7 +14,7 @@ import (
 // from values the generation already produced — no extra LP solves, no
 // RNG draws — and only when an observer is attached, so the
 // uninstrumented hot path and the determinism contract are untouched.
-// All fields are deterministic per (Seed, Workers).
+// All fields are deterministic per seed.
 type SearchStats struct {
 	// Prey genotype diversity: normalized mean pairwise distance and
 	// mean per-gene price entropy (both in [0,1]; see ga.MeanPairwiseDistance

@@ -79,7 +79,7 @@ func TestSearchStatsEmitted(t *testing.T) {
 
 // TestSearchStatsDeterministic: two identical instrumented runs must
 // produce byte-identical SearchStats streams — the introspection layer
-// rides the same (Seed, Workers) contract as the engine.
+// rides the same determinism contract as the engine.
 func TestSearchStatsDeterministic(t *testing.T) {
 	mk := smallMarket(t)
 	collect := func() []byte {

@@ -14,6 +14,8 @@ type Relaxation struct {
 	Dual   []float64 // length N, one per service
 	XBar   []float64 // length M, one per item
 	Status lp.Status
+	Pivots int       // simplex steps the solve took
+	Basis  *lp.Basis // final basis (RelaxFrom only; nil unless optimal)
 }
 
 // lpProblem builds min c·x, Qx ≥ b, 0 ≤ x ≤ 1 for the instance.
@@ -43,14 +45,16 @@ func relaxationFrom(sol *lp.Solution) *Relaxation {
 		Dual:   sol.Dual,
 		XBar:   sol.X,
 		Status: sol.Status,
+		Pivots: sol.Pivots,
 	}
 }
 
 // Relaxer solves a stream of relaxations that share Q and b but carry
 // different costs, using the warm-started simplex. This is the hot path
 // of CARBON: every upper-level pricing decision changes only the costs
-// of the leader's bundles. A Relaxer is not safe for concurrent use;
-// create one per worker.
+// of the leader's bundles, so an earlier optimal basis stays primal
+// feasible. A Relaxer is not safe for concurrent use; create one per
+// worker.
 type Relaxer struct {
 	ws *lp.WarmSolver
 	m  int
@@ -65,20 +69,14 @@ func NewRelaxer(in *Instance) (*Relaxer, error) {
 	return &Relaxer{ws: ws, m: in.M()}, nil
 }
 
-// Reset discards the warm basis so the next Relax solves cold (see
-// lp.WarmSolver.Reset). CARBON resets its relaxers at every generation
-// boundary, making each generation's relaxation results a pure function
-// of that generation's costs — the property that lets a restored
-// checkpoint replay the remaining generations bit-identically.
-func (r *Relaxer) Reset() { r.ws.Reset() }
-
 // SetFault installs (or, with nil, clears) a fault hook on the
 // underlying warm solver: it is consulted before every solve, and a
 // non-nil return aborts that solve without disturbing the warm basis.
 // Wired through bcpop.Evaluator.SetLPFault for fault-injection runs.
 func (r *Relaxer) SetFault(h func() error) { r.ws.Fault = h }
 
-// Relax solves the relaxation with the given item costs.
+// Relax solves the relaxation with the given item costs, warm-starting
+// from the basis the previous Relax left.
 func (r *Relaxer) Relax(costs []float64) (*Relaxation, error) {
 	if len(costs) != r.m {
 		return nil, fmt.Errorf("covering: got %d costs, want %d", len(costs), r.m)
@@ -88,6 +86,23 @@ func (r *Relaxer) Relax(costs []float64) (*Relaxation, error) {
 		return nil, err
 	}
 	return relaxationFrom(sol), nil
+}
+
+// RelaxFrom solves the relaxation with the given item costs from the
+// basis start (nil = cold; see lp.WarmSolver.SolveFrom), so the result
+// is a pure function of (costs, start). The returned Relaxation carries
+// the final basis for later solves to start from.
+func (r *Relaxer) RelaxFrom(costs []float64, start *lp.Basis) (*Relaxation, error) {
+	if len(costs) != r.m {
+		return nil, fmt.Errorf("covering: got %d costs, want %d", len(costs), r.m)
+	}
+	sol, err := r.ws.SolveFrom(costs, start)
+	if err != nil {
+		return nil, err
+	}
+	rx := relaxationFrom(sol)
+	rx.Basis = r.ws.Basis()
+	return rx, nil
 }
 
 // Gap returns the paper's Eq. 1 lower-level optimality gap in percent:

@@ -1,6 +1,10 @@
 package ga
 
-import "carbon/internal/rng"
+import (
+	"math"
+
+	"carbon/internal/rng"
+)
 
 // Step is Table II's generational step for a real-coded population:
 // elitism, then binary tournaments, SBX with probability CrossProb and
@@ -20,6 +24,25 @@ type Step struct {
 // parent population, P2 = -1 for a child with one parent (an elite, or
 // a tournament winner that skipped crossover).
 type Parents struct{ P1, P2 int }
+
+// Nearest returns whichever of p's parents in pop lies nearer child in
+// L1 distance: P1 on a tie or when there is no P2. A child's lower-level
+// LP differs from a parent's only in the prices, so the nearer parent's
+// final LP basis is the better place for the child's solve to start.
+func (p Parents) Nearest(child []float64, pop [][]float64) int {
+	if p.P2 < 0 || l1(child, pop[p.P2]) >= l1(child, pop[p.P1]) {
+		return p.P1
+	}
+	return p.P2
+}
+
+func l1(a, b []float64) float64 {
+	d := 0.0
+	for i, v := range a {
+		d += math.Abs(v - b[i])
+	}
+	return d
+}
 
 // Breed returns the next generation of pop, the same size, and each
 // child's parents. better(i, j) reports whether individual i beats j.

@@ -53,3 +53,23 @@ func TestStepBreed(t *testing.T) {
 		}
 	}
 }
+
+func TestParentsNearest(t *testing.T) {
+	pop := [][]float64{{0, 0}, {4, 4}, {1, 1}}
+	for _, c := range []struct {
+		p     Parents
+		child []float64
+		want  int
+	}{
+		{Parents{0, -1}, []float64{4, 4}, 0}, // one parent
+		{Parents{0, 1}, []float64{3, 3}, 1},
+		{Parents{0, 1}, []float64{1, 0}, 0},
+		{Parents{0, 1}, []float64{2, 2}, 0}, // tie goes to P1
+		{Parents{1, 0}, []float64{2, 2}, 1},
+		{Parents{2, 1}, []float64{0, 0}, 2},
+	} {
+		if got := c.p.Nearest(c.child, pop); got != c.want {
+			t.Errorf("%+v.Nearest(%v) = %d, want %d", c.p, c.child, got, c.want)
+		}
+	}
+}

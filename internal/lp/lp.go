@@ -43,8 +43,12 @@
 //     entirely;
 //   - WarmSolver: the BCPOP leader only changes *costs* between
 //     evaluations (the covering matrix and requirements are fixed), so
-//     the previous optimal basis stays primal feasible and re-solving
-//     needs only a handful of phase-2 pivots.
+//     any earlier optimal basis stays primal feasible and re-solving
+//     from it runs phase 2 only. SolveFrom takes that basis as a compact
+//     Basis value (exported by WarmSolver.Basis), refactors B⁻¹ from it
+//     and returns a result that depends only on (costs, basis); CARBON
+//     starts each child's solve from its nearer parent's basis, which
+//     takes a handful of pivots.
 package lp
 
 import (
@@ -118,6 +122,7 @@ type Solution struct {
 	Dual        []float64 // row duals y, length m
 	ReducedCost []float64 // structural reduced costs c_j - y·A_j, length n
 	Iterations  int
+	Pivots      int // simplex steps of this solve: basis changes and bound flips
 }
 
 const (
@@ -192,25 +197,27 @@ func validate(p *Problem) (lo, up []float64, err error) {
 // solver holds the working state of one solve. Column layout:
 // [0,n) structural, [n,n+m) slack/surplus, [n+m,n+2m) artificial.
 type solver struct {
-	m, n  int
-	nTot  int       // n + m + m
-	cols  []colVec  // sparse columns of the full constraint matrix
-	cost  []float64 // phase-2 costs (0 for slack & artificial)
-	lo    []float64
-	up    []float64
-	b     []float64
-	x     []float64 // current value of every variable
-	atUp  []bool    // nonbasic-at-upper flag
-	inB   []bool    // basic flag
-	basis []int     // basic variable per row
-	binv  []float64 // m×m row-major basis inverse
-	xB    []float64 // values of basic variables (mirror of x[basis[i]])
-	yBuf  []float64 // scratch: duals
-	wBuf  []float64 // scratch: B⁻¹·A_enter
-	slab  []float64 // n×m column-major structural block, nil unless fullyDense
-	dBuf  []float64 // scratch: structural reduced costs (dense slab only)
-	iters int
-	degen int // consecutive degenerate pivots (Bland trigger)
+	m, n   int
+	nTot   int       // n + m + m
+	cols   []colVec  // sparse columns of the full constraint matrix
+	cost   []float64 // phase-2 costs (0 for slack & artificial)
+	lo     []float64
+	up     []float64
+	b      []float64
+	x      []float64 // current value of every variable
+	atUp   []bool    // nonbasic-at-upper flag
+	inB    []bool    // basic flag
+	basis  []int     // basic variable per row
+	binv   []float64 // m×m row-major basis inverse
+	xB     []float64 // values of basic variables (mirror of x[basis[i]])
+	yBuf   []float64 // scratch: duals
+	wBuf   []float64 // scratch: B⁻¹·A_enter
+	slab   []float64 // n×m column-major structural block, nil unless fullyDense
+	dBuf   []float64 // scratch: structural reduced costs (dense slab only)
+	fac    []float64 // scratch: m×m basis matrix while install refactors it
+	iters  int
+	pivots int // simplex steps since the current solve began
+	degen  int // consecutive degenerate pivots (Bland trigger)
 }
 
 // colVec is a sparse column: parallel index/value slices.
@@ -517,6 +524,7 @@ func (s *solver) phase2() *Solution {
 		Dual:        make([]float64, s.m),
 		ReducedCost: make([]float64, s.n),
 		Iterations:  s.iters,
+		Pivots:      s.pivots,
 	}
 	for i := 0; i < s.m; i++ {
 		s.x[s.basis[i]] = s.xB[i]
@@ -551,6 +559,7 @@ func (s *solver) failedSolution(st Status) *Solution {
 		Dual:        make([]float64, s.m),
 		ReducedCost: make([]float64, s.n),
 		Iterations:  s.iters,
+		Pivots:      s.pivots,
 	}
 }
 
@@ -683,6 +692,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 		if math.IsInf(tMax, 1) {
 			return Unbounded
 		}
+		s.pivots++
 		if tMax < tol {
 			s.degen++
 		} else {
@@ -757,9 +767,11 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 // WarmSolver solves a sequence of LPs that share A, b, Rel and bounds
 // and differ only in the cost vector — the access pattern of the BCPOP
 // workload, where every upper-level pricing decision re-prices the same
-// covering matrix. After the first solve the optimal basis remains
-// primal feasible for any new costs, so subsequent solves run phase 2
-// only, typically converging in a few pivots.
+// covering matrix. Any optimal basis of one cost vector stays primal
+// feasible for every other, so a solve that starts from one runs phase 2
+// only. SolveWithCosts starts from whatever basis the previous solve
+// left; SolveFrom starts from an explicit Basis, which makes its result
+// a pure function of (costs, start basis).
 type WarmSolver struct {
 	s      *solver
 	n      int
@@ -785,51 +797,56 @@ func NewWarmSolver(p *Problem) (*WarmSolver, error) {
 	return &WarmSolver{s: newSolver(p, lo, up), n: len(p.C)}, nil
 }
 
-// SolveWithCosts solves with a fresh cost vector (length n). The
-// returned Solution is freshly allocated and remains valid across later
-// calls.
-func (ws *WarmSolver) SolveWithCosts(c []float64) (*Solution, error) {
+// begin validates a fresh cost vector (length n), consults the fault
+// hook and installs the costs for the next solve.
+func (ws *WarmSolver) begin(c []float64) error {
 	if len(c) != ws.n {
-		return nil, fmt.Errorf("lp: got %d costs, want %d", len(c), ws.n)
+		return fmt.Errorf("lp: got %d costs, want %d", len(c), ws.n)
 	}
 	for j, v := range c {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("lp: bad cost on variable %d: %v", j, v)
+			return fmt.Errorf("lp: bad cost on variable %d: %v", j, v)
 		}
 	}
 	if ws.Fault != nil {
 		if err := ws.Fault(); err != nil {
-			return nil, fmt.Errorf("lp: %w", err)
+			return fmt.Errorf("lp: %w", err)
 		}
 	}
 	s := ws.s
 	copy(s.cost[:s.n], c)
+	s.pivots, s.degen = 0, 0
+	return nil
+}
+
+// cold solves from scratch (crash basis or phase 1) and latches the
+// outcome.
+func (ws *WarmSolver) cold() *Solution {
+	sol := ws.s.run()
+	ws.solved = sol.Status == Optimal
+	ws.infeas = sol.Status == Infeasible
+	return sol
+}
+
+// SolveWithCosts solves with a fresh cost vector (length n), starting
+// from the basis the previous solve left. The returned Solution is
+// freshly allocated and remains valid across later calls.
+func (ws *WarmSolver) SolveWithCosts(c []float64) (*Solution, error) {
+	if err := ws.begin(c); err != nil {
+		return nil, err
+	}
 	if ws.infeas {
-		return s.failedSolution(Infeasible), nil
+		return ws.s.failedSolution(Infeasible), nil
 	}
 	if !ws.solved {
-		sol := s.run()
-		switch sol.Status {
-		case Optimal:
-			ws.solved = true
-		case Infeasible:
-			ws.infeas = true
-		}
-		return sol, nil
+		return ws.cold(), nil
 	}
 	// Warm path: current basis is primal feasible; re-optimize.
-	s.degen = 0
-	sol := s.phase2()
+	sol := ws.s.phase2()
 	if sol.Status != Optimal {
 		// Numerical trouble on the warm path (e.g. accumulated basis
 		// drift): fall back to a cold solve once.
-		ws.solved = false
-		sol = s.run()
-		if sol.Status == Optimal {
-			ws.solved = true
-		} else if sol.Status == Infeasible {
-			ws.infeas = true
-		}
+		sol = ws.cold()
 	}
 	return sol, nil
 }
@@ -841,10 +858,4 @@ func (ws *WarmSolver) Iterations() int { return ws.s.iters }
 // runs cold, exactly like the first solve of a fresh WarmSolver. The
 // infeasibility latch is kept — an empty feasible region is a property
 // of the matrix, not the costs.
-//
-// Solvers accumulate basis state (and its floating-point history) across
-// solves; callers that need solve results to depend only on the current
-// cost vector and not on which solves came before — e.g. checkpointed
-// runs that must replay bit-identically after a restore — call Reset at
-// their replay boundaries.
 func (ws *WarmSolver) Reset() { ws.solved = false }

@@ -143,8 +143,8 @@ func ForEachTimed(n, workers int, m *WaveMetrics, fn func(i int)) {
 }
 
 // Striped runs fn over [0,n) in one contiguous stripe per worker, so
-// each stripe can own per-worker scratch (an evaluator, a warm LP
-// solver): fn(i, w) sees every index of stripe w in ascending order.
+// each stripe can own per-worker scratch (an evaluator, a VM): fn(i, w)
+// sees every index of stripe w in ascending order.
 // Results land by index, so the outcome is deterministic regardless of
 // scheduling. workers must already be resolved (see Workers); m (nil =
 // off) times the wave as ForEachTimed does.

@@ -38,10 +38,9 @@ type JobSpec struct {
 	LLEvals    int    `json:"ll_evals,omitempty"`    // lower-level budget (50000)
 	PreySample int    `json:"prey_sample,omitempty"` // prey sampled per predator eval (4)
 
-	// Workers is the engine's evaluation parallelism. It defaults to 1
-	// because the determinism contract is per (Seed, Workers) pair: a
-	// single-striped job gives the same bits on any machine the spool
-	// migrates to, regardless of core count.
+	// Workers is the engine's evaluation parallelism (default 1). A
+	// job's result does not depend on it: the engine gives the same bits
+	// at any worker count.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutSec caps the job's wall time (0 = none). A job that blows
