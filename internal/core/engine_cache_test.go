@@ -334,3 +334,47 @@ func BenchmarkEngineStep(b *testing.B) {
 		})
 	}
 }
+
+// TestChildrenStartFromParentBasis: after breeding, every child of a
+// healthy parent carries that parent's final LP basis, so the elite (a
+// verbatim copy) re-solves in zero pivots, and every later generation
+// takes fewer pivots than the first, whose prey are all parentless.
+// The pivots GenStats reports match the bcpop.lp_pivots counter.
+func TestChildrenStartFromParentBasis(t *testing.T) {
+	mk := smallMarket(t)
+	cfg := smallConfig(31)
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = reg
+	var pivots []int
+	cfg.Observer = FuncObserver{Generation: func(gs GenStats) { pivots = append(pivots, gs.LPPivots) }}
+	e, err := NewEngine(mk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 1; e.Step(); gen++ {
+		for i, b := range e.preyBasis {
+			if b == nil {
+				t.Fatalf("gen %d: child %d has no start basis", gen, i)
+			}
+		}
+		elite := e.cache.At(e.preySlot[e.preyOrigins[0].p1]).Rx.Basis
+		if e.preyOrigins[0].op != opElite || e.preyBasis[0] != elite {
+			t.Fatalf("gen %d: the elite does not start from its parent's basis", gen)
+		}
+		if gen > 1 {
+			if p := e.cache.At(e.preySlot[0]); p.Rx.Pivots != 0 {
+				t.Fatalf("gen %d: the elite re-solved in %d pivots", gen, p.Rx.Pivots)
+			}
+		}
+	}
+	total := 0
+	for g, n := range pivots {
+		total += n
+		if g > 0 && n >= pivots[0] {
+			t.Errorf("generation %d took %d pivots, generation 1 %d", g+1, n, pivots[0])
+		}
+	}
+	if got := reg.Counter("bcpop.lp_pivots").Load(); got != int64(total) {
+		t.Fatalf("bcpop.lp_pivots = %d, GenStats sum %d", got, total)
+	}
+}
