@@ -4,16 +4,16 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race check cover fuzz bench-smoke bench-module bench-all quick full taxonomy examples smoke serve-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
+.PHONY: all build vet lint test race check cross cover fuzz bench-smoke bench-module bench-all quick full taxonomy examples smoke serve-smoke chaos-smoke trace-smoke fleet-smoke obs-smoke clean
 
 all: build vet test
 
 # The full pre-commit gate: compile, static checks, lint, tests, race
-# detector, a one-iteration pass over the internal benchmarks (so they
-# cannot rot), the repo benchmark's own smoke test and the five
-# live-process smoke gates. Performance is measured by benchmark/
-# (`bash benchmark/run.sh`), not here.
-check: build vet lint test race bench-smoke bench-module smoke
+# detector, an arm64 cross-build, a one-iteration pass over the internal
+# benchmarks (so they cannot rot), the repo benchmark's own smoke test
+# and the five live-process smoke gates. Performance is measured by
+# benchmark/ (`bash benchmark/run.sh`), not here.
+check: build vet lint test race cross bench-smoke bench-module smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,17 @@ lint:
 test:
 	$(GO) test ./...
 
+# Cross-build for arm64, so the non-amd64 pricing kernel file and its
+# build tags cannot rot, and fail if the compiler fused any multiply-add
+# in internal/lp: a fused instruction rounds once where amd64 rounds
+# twice, so the same solve would give other bits on arm64.
+FUSED = FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/lp
+	GOARCH=arm64 $(GO) build ./...
+	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lp 2>&1 | grep -cE '\b($(FUSED))\b'); \
+		if [ "$$fused" != 0 ]; then echo "cross: $$fused fused multiply-add instructions in arm64 internal/lp"; exit 1; fi
+
 race:
 	$(GO) test -race ./internal/...
 
@@ -45,14 +56,17 @@ cover:
 # (FuzzCompiledEval), the exact fmod against math.Mod (FuzzMod), the
 # S-expression parser (FuzzParse) and the LP's warm start from garbled
 # bases (FuzzSolveFromBasis: a certified optimum or the cold solve, never
-# a panic). go test fuzzes one target per invocation. Not part of
-# `check`; the seed corpora already run as ordinary tests there.
+# a panic) and the LP pricing kernels against the column loop
+# (FuzzPriceKernels: the same bits). go test fuzzes one target per
+# invocation. Not part of `check`; the seed corpora already run as
+# ordinary tests there.
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveFromBasis$$' -fuzztime 10s ./internal/lp/
+	$(GO) test -run '^$$' -fuzz '^FuzzPriceKernels$$' -fuzztime 10s ./internal/lp/
 
 # One-iteration pass over every benchmark under internal/: proves each
 # still runs, without paying for measurement, and fails when any does.

@@ -136,7 +136,7 @@ func (s *solver) install(b *Basis) bool {
 	}
 	for i, j := range b.basic {
 		s.basis[i] = int(j)
-		c := s.cols[j]
+		c := s.column(int(j))
 		for k, r := range c.idx {
 			f[int(r)*m+i] = c.val[k]
 		}
@@ -175,10 +175,10 @@ func (s *solver) install(b *Basis) bool {
 			fr, ir := f[r*m+k:(r+1)*m], inv[r*m:(r+1)*m]
 			fr, ir = fr[:len(fk)], ir[:len(ik)]
 			for c, v := range fk {
-				fr[c] -= g * v
+				fr[c] -= float64(g * v)
 			}
 			for c, v := range ik {
-				ir[c] -= g * v
+				ir[c] -= float64(g * v)
 			}
 		}
 	}
@@ -191,24 +191,24 @@ func (s *solver) install(b *Basis) bool {
 		if s.inB[j] || xj == 0 {
 			continue
 		}
-		c := s.cols[j]
+		c := s.column(j)
 		if len(c.val) == m {
 			// A column with m entries lists every row in order.
 			rhs := rhs[:len(c.val)]
 			for r, a := range c.val {
-				rhs[r] -= a * xj
+				rhs[r] -= float64(a * xj)
 			}
 			continue
 		}
 		for k, r := range c.idx {
-			rhs[r] -= c.val[k] * xj
+			rhs[r] -= float64(c.val[k] * xj)
 		}
 	}
 	for i := 0; i < m; i++ {
 		v := 0.0
 		row := inv[i*m : (i+1)*m]
 		for k, a := range row {
-			v += a * rhs[k]
+			v += float64(a * rhs[k])
 		}
 		bi := s.basis[i]
 		if !(v >= s.lo[bi]-feasTol && v <= s.up[bi]+feasTol) {

@@ -102,16 +102,71 @@ func TestWarmChainGolden(t *testing.T) {
 	}
 }
 
-// priceReference is the column-at-a-time loop priceDense must match
-// bit for bit: one subtraction chain per column, rows ascending.
+// priceReference is the column-at-a-time loop both pricing kernels must
+// match bit for bit: one subtraction chain per column of the
+// column-major a, rows ascending.
 func priceReference(d, cost, y, a []float64) {
 	m := len(y)
 	for j := range d {
 		dj := cost[j]
 		for i := 0; i < m; i++ {
-			dj -= y[i] * a[j*m+i]
+			dj -= float64(y[i] * a[j*m+i])
 		}
 		d[j] = dj
+	}
+}
+
+// interleave lays the column-major n-column block a out in column groups,
+// the layout newSolver builds, with every padding slot set to pad.
+func interleave(a []float64, n, m int, pad float64) []float64 {
+	slab := make([]float64, groupLen(n, m))
+	for k := range slab {
+		slab[k] = pad
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i < m; i++ {
+			slab[slabAt(i, j, m)] = a[j*m+i]
+		}
+	}
+	return slab
+}
+
+// kernels lists the pricing kernels this host can run: the portable one
+// always, the AVX2 one where the CPU and OS support it.
+func kernels() map[string]kernelFunc {
+	ks := map[string]kernelFunc{"portable": pricePortable}
+	if avx2Kernel != nil {
+		ks["asm"] = avx2Kernel
+	}
+	return ks
+}
+
+// withKernel runs f with price using kernel k.
+func withKernel(k kernelFunc, f func()) {
+	old := priceKernel
+	priceKernel = k
+	defer func() { priceKernel = old }()
+	f()
+}
+
+// checkKernels prices the column-major block a with every kernel, over a
+// slab whose padding is poisoned with NaN, and fails unless each result
+// is the bits of priceReference.
+func checkKernels(t *testing.T, cost, y, a []float64) {
+	t.Helper()
+	n, m := len(cost), len(y)
+	want := make([]float64, n)
+	priceReference(want, cost, y, a)
+	slab := interleave(a, n, m, math.NaN())
+	for name, k := range kernels() {
+		got := make([]float64, n)
+		withKernel(k, func() { price(got, cost, y, slab) })
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s kernel, m=%d n=%d col %d: %x, reference %x",
+					name, m, n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
 	}
 }
 
@@ -123,7 +178,9 @@ func TestPriceDenseBitIdentical(t *testing.T) {
 		return r.NormFloat64() * math.Ldexp(1, r.IntRange(-20, 20))
 	}
 	for _, m := range []int{1, 3, 4, 5, 10, 30} {
-		for _, n := range []int{1, 2, 3, 5, 6, 7, 13, 501} {
+		// Every remainder mod 4 and mod 16, so both AVX2 loops (16 and 4
+		// columns a pass) and the Go tail run.
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13, 15, 16, 17, 18, 19, 31, 33, 501} {
 			for trial := 0; trial < 4; trial++ {
 				a := make([]float64, n*m)
 				for k := range a {
@@ -147,23 +204,16 @@ func TestPriceDenseBitIdentical(t *testing.T) {
 					}
 					y[i] = val()
 				}
-				got := make([]float64, n)
-				want := make([]float64, n)
-				priceDense(got, cost, y, a)
-				priceReference(want, cost, y, a)
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("m=%d n=%d trial %d col %d: %x, reference %x",
-							m, n, trial, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-					}
-				}
+				checkKernels(t, cost, y, a)
 			}
 		}
 	}
 }
 
-// TestDenseSlabOnlyWhenFullyDense: the slab replaces the per-column
-// storage exactly when no structural coefficient is zero.
+// TestDenseSlabOnlyWhenFullyDense pins the layout: a fully dense matrix
+// is stored once, in column groups of four padded with zero columns,
+// and no structural column keeps sparse storage; a matrix with a zero
+// coefficient gets no slab.
 func TestDenseSlabOnlyWhenFullyDense(t *testing.T) {
 	p := denseCoveringLP(rng.New(3), 9, 4)
 	lo, up, err := validate(p)
@@ -171,12 +221,31 @@ func TestDenseSlabOnlyWhenFullyDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newSolver(p, lo, up)
-	if len(s.slab) != 9*4 {
-		t.Fatalf("dense matrix: slab holds %d values, want %d", len(s.slab), 9*4)
+	if len(s.slab) != 3*4*4 {
+		t.Fatalf("dense matrix: slab holds %d values, want %d", len(s.slab), 3*4*4)
+	}
+	for g := 0; g < 3; g++ {
+		for i := 0; i < 4; i++ {
+			for l := 0; l < 4; l++ {
+				want, j := 0.0, 4*g+l
+				if j < 9 {
+					want = p.A[i][j]
+				}
+				if got := s.slab[(g*4+i)*4+l]; got != want {
+					t.Fatalf("group %d row %d lane %d: %v, want %v", g, i, l, got, want)
+				}
+			}
+		}
 	}
 	for j := 0; j < 9; j++ {
-		if &s.cols[j].val[0] != &s.slab[j*4] {
-			t.Fatalf("column %d does not alias the slab", j)
+		if s.cols[j].val != nil {
+			t.Fatalf("column %d keeps sparse storage beside the slab", j)
+		}
+		c := s.column(j)
+		for i := 0; i < 4; i++ {
+			if c.idx[i] != int32(i) || c.val[i] != p.A[i][j] {
+				t.Fatalf("column(%d) row %d: (%d, %v), want (%d, %v)", j, i, c.idx[i], c.val[i], i, p.A[i][j])
+			}
 		}
 	}
 	p.A[2][5] = 0

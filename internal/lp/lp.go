@@ -13,22 +13,24 @@
 //
 // Design notes. The relaxations solved here have very few rows
 // (m ∈ {5,10,30}) and up to ~1000 columns, so a dense basis inverse
-// (m×m) with full pricing over sparse columns is both simple and fast:
-// each iteration is O(m² + nnz). The O(nnz) term dominates: Dantzig
-// pricing, one reduced cost c_j − y·A_j per column, is ~90% of a
-// 500×30 solve.
+// (m×m) with full Dantzig pricing is both simple and fast: each
+// iteration is O(m² + nnz).
 //
 // When no structural coefficient is zero — true of every MKP-derived
-// instance of the paper — the structural block is stored once as an
-// n×m column-major slab that the columns alias, and pricing runs the
-// priceDense kernel over it: four columns per pass over y, so four
-// independent subtraction chains overlap instead of one column's chain
-// waiting on floating-point latency. Each column still subtracts its
-// own terms one at a time in ascending row order with the same
-// expression shape as the sparse loop (no reassociation, no explicit
-// math.FMA), so reduced costs, pivot choices and solutions are
-// bit-identical to the sparse path. Matrices with zeros (the
-// block-diagonal multi-customer market) keep sparse columns.
+// instance of the paper — the structural block is stored once in column
+// groups of four (price.go), and pricing runs one of two kernels over
+// it: AVX2 assembly where the CPU supports it, portable Go elsewhere.
+// Every column subtracts its own terms one at a time in ascending row
+// order, each product rounded before the subtraction, so both kernels
+// give the bits of the column-at-a-time loop. No product in this package
+// may fuse with the addition it feeds (every one is wrapped in an
+// explicit float64 conversion), so a solve gives the same bits on every
+// GOARCH. Matrices with zeros (the block-diagonal multi-customer
+// market) keep sparse columns.
+//
+// A bound flip leaves the basis, the duals and every reduced cost
+// unchanged, so the iteration after one reuses the last pricing, and
+// the final pricing becomes Solution.ReducedCost.
 //
 // Bounded variables are handled natively (nonbasic-at-upper status and
 // bound flips) rather than by adding n explicit bound rows, which keeps
@@ -207,12 +209,15 @@ type solver struct {
 	x      []float64 // current value of every variable
 	atUp   []bool    // nonbasic-at-upper flag
 	inB    []bool    // basic flag
+	dir    []float64 // pricing direction: +1 at lower, −1 at upper, 0 basic or fixed (valid in iterate)
 	basis  []int     // basic variable per row
 	binv   []float64 // m×m row-major basis inverse
 	xB     []float64 // values of basic variables (mirror of x[basis[i]])
 	yBuf   []float64 // scratch: duals
 	wBuf   []float64 // scratch: B⁻¹·A_enter
-	slab   []float64 // n×m column-major structural block, nil unless fullyDense
+	slab   []float64 // structural block in column groups of four (price.go), nil unless fullyDense
+	rows   []int32   // 0..m-1, the index slice of a gathered slab column
+	colBuf []float64 // scratch: the slab column column() gathered last
 	dBuf   []float64 // scratch: structural reduced costs (dense slab only)
 	fac    []float64 // scratch: m×m basis matrix while install refactors it
 	iters  int
@@ -239,43 +244,19 @@ func fullyDense(a [][]float64) bool {
 	return true
 }
 
-// priceDense sets d[j] = cost[j] − Σᵢ y[i]·a[j·m+i] for every column j
-// of the column-major slab a, with m = len(y). Four columns share each
-// pass over y, so the CPU overlaps four independent subtraction chains
-// instead of waiting on one; within each column the terms are still
-// subtracted one at a time in ascending row order with the expression
-// shape of the sparse loop, so every d[j] is bit-identical to it.
-func priceDense(d, cost, y, a []float64) {
-	m := len(y)
-	n := len(d)
-	cost = cost[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		a0 := a[j*m : (j+1)*m]
-		a1 := a[(j+1)*m : (j+2)*m]
-		a2 := a[(j+2)*m : (j+3)*m]
-		a3 := a[(j+3)*m : (j+4)*m]
-		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-		yy := y[:len(a0)]
-		d0, d1, d2, d3 := cost[j], cost[j+1], cost[j+2], cost[j+3]
-		for i, v := range a0 {
-			yi := yy[i]
-			d0 -= yi * v
-			d1 -= yi * a1[i]
-			d2 -= yi * a2[i]
-			d3 -= yi * a3[i]
-		}
-		d[j], d[j+1], d[j+2], d[j+3] = d0, d1, d2, d3
+// column returns column j of the constraint matrix. A structural column
+// of the dense slab is gathered into colBuf, which the next call
+// overwrites; every other column is its stored sparse vector.
+func (s *solver) column(j int) colVec {
+	if j >= s.n || s.slab == nil {
+		return s.cols[j]
 	}
-	for ; j < n; j++ {
-		col := a[j*m : (j+1)*m]
-		yy := y[:len(col)]
-		dj := cost[j]
-		for i, v := range col {
-			dj -= yy[i] * v
-		}
-		d[j] = dj
+	g := s.slab[slabAt(0, j, s.m):]
+	v := s.colBuf
+	for i := range v {
+		v[i] = g[4*i]
 	}
+	return colVec{idx: s.rows, val: v}
 }
 
 func newSolver(p *Problem, lo, up []float64) *solver {
@@ -289,6 +270,7 @@ func newSolver(p *Problem, lo, up []float64) *solver {
 		x:     make([]float64, n+2*m),
 		atUp:  make([]bool, n+2*m),
 		inB:   make([]bool, n+2*m),
+		dir:   make([]float64, n+2*m),
 		basis: make([]int, m),
 		binv:  make([]float64, m*m),
 		xB:    make([]float64, m),
@@ -301,21 +283,18 @@ func newSolver(p *Problem, lo, up []float64) *solver {
 
 	s.cols = make([]colVec, s.nTot)
 	if fullyDense(p.A) {
-		// Every structural column holds all m rows: store the block once,
-		// column-major, and let each column alias its own m-slice and
-		// share one 0..m-1 index slice.
-		s.slab = make([]float64, n*m)
+		// Every structural column holds all m rows: store the block once
+		// in column groups and leave the structural cols empty; column()
+		// gathers one when a caller needs it.
+		s.slab = make([]float64, groupLen(n, m))
 		s.dBuf = make([]float64, n)
-		rows := make([]int32, m)
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-		for j := 0; j < n; j++ {
-			col := s.slab[j*m : (j+1)*m : (j+1)*m]
-			for i := range col {
-				col[i] = p.A[i][j]
+		s.colBuf = make([]float64, m)
+		s.rows = make([]int32, m)
+		for i, row := range p.A {
+			s.rows[i] = int32(i)
+			for j, v := range row {
+				s.slab[slabAt(i, j, m)] = v
 			}
-			s.cols[j] = colVec{idx: rows, val: col}
 		}
 	} else {
 		for j := 0; j < n; j++ {
@@ -386,9 +365,9 @@ func (s *solver) crash() bool {
 				v = s.up[j]
 			}
 			if v != 0 {
-				c := s.cols[j]
+				c := s.column(j)
 				for k, i := range c.idx {
-					act[i] += c.val[k] * v
+					act[i] += float64(c.val[k] * v)
 				}
 			}
 		}
@@ -459,9 +438,9 @@ func (s *solver) phase1() (Status, bool) {
 	copy(r, s.b)
 	for j := 0; j < s.n+s.m; j++ {
 		if s.x[j] != 0 {
-			c := s.cols[j]
+			c := s.column(j)
 			for k, i := range c.idx {
-				r[i] -= c.val[k] * s.x[j]
+				r[i] -= float64(c.val[k] * s.x[j])
 			}
 		}
 	}
@@ -530,24 +509,21 @@ func (s *solver) phase2() *Solution {
 		s.x[s.basis[i]] = s.xB[i]
 	}
 	copy(sol.X, s.x[:s.n])
-	y := s.duals(s.cost)
+	// iterate returned Optimal right after pricing the final basis, so
+	// yBuf holds its duals and dBuf its structural reduced costs.
+	y := s.yBuf
 	copy(sol.Dual, y)
 	obj := 0.0
 	for j := 0; j < s.n; j++ {
-		obj += s.cost[j] * s.x[j]
+		obj += float64(s.cost[j] * s.x[j])
 	}
 	sol.Obj = obj
 	if s.slab != nil {
-		priceDense(sol.ReducedCost, s.cost, y, s.slab)
+		copy(sol.ReducedCost, s.dBuf)
 		return sol
 	}
 	for j := 0; j < s.n; j++ {
-		d := s.cost[j]
-		c := s.cols[j]
-		for k, i := range c.idx {
-			d -= y[i] * c.val[k]
-		}
-		sol.ReducedCost[j] = d
+		sol.ReducedCost[j] = s.reducedCost(j, s.cost, y)
 	}
 	return sol
 }
@@ -577,85 +553,123 @@ func (s *solver) duals(cost []float64) []float64 {
 		}
 		row := s.binv[i*s.m : (i+1)*s.m]
 		for k, v := range row {
-			y[k] += cb * v
+			y[k] += float64(cb * v)
 		}
 	}
 	return y
 }
 
+// reducedCost is cost[j] − y·A_j for a sparse column j.
+func (s *solver) reducedCost(j int, cost, y []float64) float64 {
+	d := cost[j]
+	c := s.cols[j]
+	for k, i := range c.idx {
+		d -= float64(y[i] * c.val[k])
+	}
+	return d
+}
+
+// setDir sets dir[j] from j's status: 0 when j is basic or fixed,
+// otherwise +1 at its lower bound and −1 at its upper bound, the sign
+// of a profitable move.
+func (s *solver) setDir(j int) {
+	switch {
+	case s.inB[j] || s.lo[j] == s.up[j]:
+		s.dir[j] = 0
+	case s.atUp[j]:
+		s.dir[j] = -1
+	default:
+		s.dir[j] = 1
+	}
+}
+
 // iterate runs primal simplex iterations with cost vector `cost` until
 // optimality, unboundedness or the iteration cap. In phase 1 artificial
-// columns may price; afterwards they are excluded.
+// columns may price; afterwards they are excluded. On Optimal, yBuf
+// holds the duals and dBuf the structural reduced costs of the final
+// basis.
 func (s *solver) iterate(cost []float64, phase1 bool) Status {
 	maxIter := s.iters + 5000 + 50*(s.n+s.m)
 	w := s.wBuf
+	limit := s.nTot
+	if !phase1 {
+		limit = s.n + s.m
+	}
+	for j := 0; j < limit; j++ {
+		s.setDir(j)
+	}
+	// Structural reduced costs come from the dense slab when there is
+	// one; nPriced is 0 on the sparse path.
+	nPriced := len(s.dBuf)
+	dDense, dirDense := s.dBuf, s.dir[:nPriced]
+	var y []float64
+	priced := false // y and dBuf belong to the current basis
 	for {
 		if s.iters >= maxIter {
 			return IterLimit
 		}
 		s.iters++
-		y := s.duals(cost)
+		if !priced {
+			y = s.duals(cost)
+			if nPriced > 0 {
+				price(dDense, cost, y, s.slab)
+			}
+			priced = true
+		}
 
-		// Pricing: pick the entering variable.
-		limit := s.nTot
-		if !phase1 {
-			limit = s.n + s.m
-		}
+		// Pricing: pick the entering variable. score = dir·d is negative
+		// exactly when moving j off its bound lowers the objective, and 0
+		// for basic and fixed columns, which never beat best < 0.
 		bland := s.degen >= blandTrigger
-		enter, dir := -1, 0.0
+		enter := -1
 		best := -tol
-		// Structural reduced costs come precomputed from the dense slab
-		// when there is one; nPriced is 0 on the sparse path.
-		nPriced := len(s.dBuf)
-		if nPriced > 0 {
-			priceDense(s.dBuf, cost, y, s.slab)
-		}
-		for j := 0; j < limit; j++ {
-			if s.inB[j] || s.lo[j] == s.up[j] {
-				continue
-			}
-			var d float64
-			if j < nPriced {
-				d = s.dBuf[j]
-			} else {
-				d = cost[j]
-				c := s.cols[j]
-				for k, i := range c.idx {
-					d -= y[i] * c.val[k]
-				}
-			}
-			var score, dj float64
-			if !s.atUp[j] {
-				// At lower bound: attractive to increase if d < 0.
-				score, dj = d, 1
-			} else {
-				// At upper bound: attractive to decrease if d > 0.
-				score, dj = -d, -1
-			}
-			if score < best {
+		for j, d := range dDense {
+			if score := dirDense[j] * d; score < best {
+				enter = j
 				if bland {
-					enter, dir = j, dj
 					break
 				}
 				best = score
-				enter, dir = j, dj
+			}
+		}
+		if !bland || enter < 0 {
+			for j := nPriced; j < limit; j++ {
+				sg := s.dir[j]
+				if sg == 0 {
+					continue
+				}
+				if score := sg * s.reducedCost(j, cost, y); score < best {
+					enter = j
+					if bland {
+						break
+					}
+					best = score
+				}
 			}
 		}
 		if enter < 0 {
 			return Optimal
 		}
+		dir := s.dir[enter]
 
-		// Direction through the basis: w = B⁻¹·A_enter.
-		for i := range w {
-			w[i] = 0
-		}
-		ec := s.cols[enter]
-		for k, i := range ec.idx {
-			v := ec.val[k]
-			col := int(i)
-			for r := 0; r < s.m; r++ {
-				w[r] += s.binv[r*s.m+col] * v
+		// Direction through the basis: w = B⁻¹·A_enter, one row of B⁻¹
+		// at a time, each summing its terms in the column's index order.
+		ec := s.column(enter)
+		for r := range w {
+			row := s.binv[r*s.m : (r+1)*s.m]
+			acc := 0.0
+			if len(ec.val) == s.m {
+				// A column with m entries lists every row in order.
+				row := row[:len(ec.val)]
+				for i, v := range ec.val {
+					acc += float64(row[i] * v)
+				}
+			} else {
+				for k, i := range ec.idx {
+					acc += float64(row[i] * ec.val[k])
+				}
 			}
+			w[r] = acc
 		}
 
 		// Ratio test. Basic variable i moves by -t·dir·w[i].
@@ -704,12 +718,13 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 
 		// Apply the step to the basic values.
 		for i := 0; i < s.m; i++ {
-			s.xB[i] -= tMax * dir * w[i]
+			s.xB[i] -= float64(tMax * dir * w[i])
 		}
 
 		if leave < 0 {
 			// Pure bound flip: the entering variable crosses to its
-			// opposite bound; the basis is unchanged.
+			// opposite bound. The basis is unchanged, and so are y and
+			// every reduced cost: the next iteration reuses them.
 			if dir > 0 {
 				s.x[enter] = s.up[enter]
 				s.atUp[enter] = true
@@ -717,6 +732,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 				s.x[enter] = s.lo[enter]
 				s.atUp[enter] = false
 			}
+			s.dir[enter] = -dir
 			continue
 		}
 
@@ -740,6 +756,9 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 		s.inB[enter] = true
 		s.atUp[enter] = false
 		s.xB[leave] = enterVal
+		s.dir[enter] = 0
+		s.setDir(out)
+		priced = false
 
 		// Update B⁻¹: eliminate w in all rows but `leave`.
 		piv := w[leave]
@@ -758,7 +777,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			}
 			row := s.binv[i*s.m : (i+1)*s.m]
 			for k := range row {
-				row[k] -= f * prow[k]
+				row[k] -= float64(f * prow[k])
 			}
 		}
 	}

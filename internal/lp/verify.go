@@ -42,7 +42,7 @@ func CheckKKT(p *Problem, sol *Solution, eps float64) error {
 			scale = a
 		}
 	}
-	tolv := eps * scale
+	tolv := float64(eps * scale)
 
 	// 1. Primal feasibility.
 	for j := 0; j < n; j++ {
@@ -53,16 +53,16 @@ func CheckKKT(p *Problem, sol *Solution, eps float64) error {
 	act := make([]float64, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			act[i] += p.A[i][j] * sol.X[j]
+			act[i] += float64(p.A[i][j] * sol.X[j])
 		}
 		rowScale := math.Abs(p.B[i]) + 1
 		switch p.Rel[i] {
 		case GE:
-			if act[i] < p.B[i]-eps*rowScale {
+			if act[i] < p.B[i]-float64(eps*rowScale) {
 				return fmt.Errorf("lp: row %d: %v < %v", i, act[i], p.B[i])
 			}
 		case LE:
-			if act[i] > p.B[i]+eps*rowScale {
+			if act[i] > p.B[i]+float64(eps*rowScale) {
 				return fmt.Errorf("lp: row %d: %v > %v", i, act[i], p.B[i])
 			}
 		case EQ:
@@ -90,7 +90,7 @@ func CheckKKT(p *Problem, sol *Solution, eps float64) error {
 	for j := 0; j < n; j++ {
 		d := p.C[j]
 		for i := 0; i < m; i++ {
-			d -= sol.Dual[i] * p.A[i][j]
+			d -= float64(sol.Dual[i] * p.A[i][j])
 		}
 		if math.Abs(d-sol.ReducedCost[j]) > eps*(1+math.Abs(d)) {
 			return fmt.Errorf("lp: reported reduced cost %v != recomputed %v for var %d",
@@ -127,15 +127,15 @@ func CheckKKT(p *Problem, sol *Solution, eps float64) error {
 	// 4. Strong duality through the Lagrangian.
 	dualObj := 0.0
 	for i := 0; i < m; i++ {
-		dualObj += sol.Dual[i] * p.B[i]
+		dualObj += float64(sol.Dual[i] * p.B[i])
 	}
 	for j := 0; j < n; j++ {
 		d := sol.ReducedCost[j]
 		switch {
 		case d > eps:
-			dualObj += d * lo[j]
+			dualObj += float64(d * lo[j])
 		case d < -eps:
-			dualObj += d * up[j] // finite, else dual infeasible above
+			dualObj += float64(d * up[j]) // finite, else dual infeasible above
 		}
 	}
 	if math.Abs(dualObj-sol.Obj) > eps*(1+math.Abs(sol.Obj)) {
