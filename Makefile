@@ -110,7 +110,7 @@ taxonomy:
 #   trace-smoke  a caller-traced job survives an LP retry and a SIGKILL as
 #                one parent-linked trace that `carbonstat -spans` renders
 #   fleet-smoke  3 workers + router: round-robin, 429 admission, failover,
-#                revival sweep, networked islands, cross-node trace
+#                revival sweep, cross-node trace
 #   obs-smoke    streamed jobs stay bit-identical with the reference's LP
 #                solves, Last-Event-ID resume across failover
 SMOKE = $(GO) test -tags smoke -count=1 -run
@@ -140,7 +140,6 @@ examples:
 	$(GO) run carbon/examples/cloudpricing
 	$(GO) run carbon/examples/multicustomer
 	$(GO) run carbon/examples/trilevel
-	$(GO) run carbon/examples/packing
 
 clean:
 	rm -rf results results-full test_output.txt bench_output.txt

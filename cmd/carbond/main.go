@@ -48,12 +48,8 @@ import (
 	"syscall"
 	"time"
 
-	"path/filepath"
-
-	"carbon/internal/cluster/netmigrate"
 	"carbon/internal/fault"
 	"carbon/internal/serve"
-	"carbon/internal/span"
 	"carbon/internal/telemetry"
 )
 
@@ -72,7 +68,6 @@ func main() {
 		faultS   = flag.String("fault", "", "fault-injection spec for chaos drills, e.g. \"lp.solve:every=1,after=30,limit=8\"")
 		faultSd  = flag.Uint64("fault-seed", 1, "seed for probabilistic fault decisions")
 		spans    = flag.Bool("spans", true, "write per-job span traces (<id>.spans.jsonl) next to the spool")
-		fleet    = flag.Bool("fleet", true, "serve the /v1/fleet/ peer endpoints (networked island model)")
 	)
 	flag.Parse()
 
@@ -118,22 +113,6 @@ func main() {
 		mgr.MetricsTargets,
 	)
 	mux := http.NewServeMux()
-	// The fleet peer endpoints host shards of distributed island runs
-	// (submitted through a carbonfleet router). Registered before the
-	// /v1/ catch-all: more specific patterns win, so /v1/fleet/* routes
-	// to the peer and everything else under /v1/ to the job API. With
-	// -spans the peer's shard spans land in <spool>/fleet.spans.jsonl,
-	// joining the run's cross-node trace.
-	if *fleet {
-		var tracer *span.Tracer
-		if *spans {
-			exp := span.NewFileExporter(filepath.Join(*spool, "fleet.spans.jsonl"))
-			defer exp.Close()
-			tracer = span.New(exp)
-		}
-		peer := netmigrate.NewPeer(netmigrate.PeerOptions{Tracer: tracer})
-		mux.Handle("/v1/fleet/", peer.Handler())
-	}
 	mux.Handle("/v1/", serve.APIHandler(mgr))
 	mux.Handle("/", telemetryMux)
 	if *metricsA != "" {

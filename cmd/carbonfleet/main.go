@@ -3,8 +3,7 @@
 // tenants through per-tenant token buckets, health-checks the fleet,
 // and re-homes a dead worker's unfinished jobs onto survivors from
 // their last mirrored checkpoints — zero job loss, results bit-identical
-// to an undisturbed run. It also fronts the networked island model:
-// POST /v1/islands spreads one run's islands across the workers.
+// to an undisturbed run.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
 // Command gpview inspects evolved heuristics: it parses an S-expression
-// over the paper's Table I primitive set (or the knapsack/policy sets),
+// over the paper's Table I primitive set (or the multi-level policy set),
 // reports size and depth, algebraically simplifies it, and optionally
 // evaluates it against an environment vector or benchmarks it on a
 // generated instance.
@@ -7,7 +7,6 @@
 // Usage:
 //
 //	gpview '(% (* q d) c)'
-//	gpview -set knapsack '(% p (* w d))'
 //	gpview -env 2,3,5,7,11 '(+ c (* q d))'
 //	gpview -apply -n 100 -m 10 '(% (* q d) c)'   # gap on a class instance
 //	gpview -trace run.jsonl                      # champion ancestry from a trace
@@ -22,7 +21,6 @@ import (
 
 	"carbon/internal/covering"
 	"carbon/internal/gp"
-	"carbon/internal/knapsack"
 	"carbon/internal/multilevel"
 	"carbon/internal/orlib"
 	"carbon/internal/tracestat"
@@ -30,7 +28,7 @@ import (
 
 func main() {
 	var (
-		setName  = flag.String("set", "covering", "primitive set: covering | knapsack | policy")
+		setName  = flag.String("set", "covering", "primitive set: covering | policy")
 		envCSV   = flag.String("env", "", "comma-separated environment to evaluate against")
 		apply    = flag.Bool("apply", false, "apply as a greedy heuristic to a generated instance")
 		n        = flag.Int("n", 100, "instance bundles (with -apply)")
@@ -45,8 +43,6 @@ func main() {
 	switch *setName {
 	case "covering":
 		set = covering.TableISet()
-	case "knapsack":
-		set = knapsack.Set()
 	case "policy":
 		set = multilevel.PolicySet()
 	default:

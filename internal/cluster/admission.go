@@ -1,9 +1,7 @@
 // Package cluster implements the carbonfleet router: a front-end that
 // shards jobs across a fleet of carbond workers, health-checks them,
 // and re-homes a dead worker's jobs onto survivors from their last
-// mirrored checkpoints. It also fronts the networked island model
-// (internal/cluster/netmigrate), so one run's islands can live on
-// different workers while staying bit-identical to the in-process path.
+// mirrored checkpoints.
 package cluster
 
 import (

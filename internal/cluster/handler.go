@@ -12,7 +12,6 @@ import (
 
 	"carbon/internal/checkpoint"
 	"carbon/internal/serve"
-	"carbon/internal/span"
 	"carbon/internal/telemetry"
 )
 
@@ -45,7 +44,6 @@ type FleetHealth struct {
 //	GET    /v1/jobs/{id}        proxy status from the hosting worker
 //	GET    /v1/jobs/{id}/result proxy the final result
 //	DELETE /v1/jobs/{id}        cancel on the worker, drop the route
-//	POST   /v1/islands          run one island-model job across the fleet
 //	GET    /v1/workers          per-worker health, as the router sees it
 //	GET    /v1/healthz          fleet summary (policy, healthy count, failovers)
 //	GET    /v1/jobs/{id}/events live SSE stream, stitched across failover
@@ -74,7 +72,6 @@ func (r *Router) Handler() http.Handler {
 		_ = telemetry.WritePrometheus(w, telemetry.PromTarget{Name: "carbonfleet", Registry: r.metrics})
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.handleDelete)
-	mux.HandleFunc("POST /v1/islands", r.handleIslands)
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, r.WorkerStatuses())
 	})
@@ -331,10 +328,6 @@ func (r *Router) Health() FleetHealth {
 // Probe runs one upkeep round on demand — tests and the fleet smoke use
 // it to advance the router deterministically instead of sleeping.
 func (r *Router) Probe() { r.probeTick() }
-
-// Tracer exposes the router's span tracer (nil with Spans off) so
-// colocated subsystems — the islands coordinator — share the trace file.
-func (r *Router) Tracer() *span.Tracer { return r.tracer }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -123,7 +123,7 @@ func (s *Set) Validate() error {
 		}
 		termNames[t] = i
 		// A terminal that tokenizes as a number would shadow constants
-		// of that value in Parse, breaking Decode(Encode(t)) == t.
+		// of that value in Parse, breaking Parse(s, t.String(s)) == t.
 		if _, err := strconv.ParseFloat(t, 64); err == nil {
 			return fmt.Errorf("gp: terminal %d (%s) is ambiguous with a numeric constant", i, t)
 		}
@@ -291,7 +291,7 @@ func (t Tree) Check(s *Set) error {
 // evalStackSize bounds the operand stack. A prefix expression scanned
 // backwards never stacks more operands than its node count, and Check
 // rejects trees above MaxNodes — so every tree built by the public
-// constructors (generation, Parse/Decode, breeding) fits. The panic in
+// constructors (generation, Parse, breeding) fits. The panic in
 // Eval is a last-resort guard against hand-built Tree values that
 // skipped Check.
 const evalStackSize = MaxNodes
@@ -333,7 +333,13 @@ func (t Tree) Eval(s *Set, env []float64) float64 {
 	return v
 }
 
-// String renders the tree as an S-expression, e.g. (+ c (* d b)).
+// String renders the tree as an S-expression, e.g. (+ c (* d b)) — the
+// canonical text encoding. For every well-formed tree t over a valid
+// set s, Parse(s, t.String(s)) reproduces t exactly: Set.Validate
+// rejects primitive names that would break that property (separator
+// characters, duplicates, number-like terminals), and constants print
+// with strconv's shortest exact float64 representation. This is the
+// wire format used by checkpoints, job results and trace files.
 func (t Tree) String(s *Set) string {
 	var b strings.Builder
 	t.write(&b, s, 0)
@@ -361,19 +367,6 @@ func (t Tree) write(b *strings.Builder, s *Set, i int) int {
 	b.WriteByte(')')
 	return j
 }
-
-// Encode renders the tree in the canonical text encoding: the
-// S-expression produced by String. For every well-formed tree t over a
-// valid set s, Decode(s, Encode(s, t)) reproduces t exactly — Set.
-// Validate rejects primitive names that would break that property
-// (separator characters, duplicates, number-like terminals), and
-// constants print with strconv's shortest exact float64 representation.
-// This is the wire format used by checkpoints and trace files.
-func Encode(s *Set, t Tree) string { return t.String(s) }
-
-// Decode is the inverse of Encode: it parses the canonical text
-// encoding back into a Tree over set s, rejecting anything malformed.
-func Decode(s *Set, src string) (Tree, error) { return Parse(s, src) }
 
 // Parse reads an S-expression produced by String (or hand-written) back
 // into a Tree over set s.

@@ -7,7 +7,7 @@ import (
 )
 
 // TestEncodeDecodeProperty is the codec contract required by the
-// checkpoint subsystem: Decode(Encode(t)) == t for random trees — fresh
+// checkpoint subsystem: Parse(s, t.String(s)) == t for random trees — fresh
 // ramped trees and trees churned through every breeding operator, over
 // sets with and without ephemeral constants.
 func TestEncodeDecodeProperty(t *testing.T) {
@@ -42,14 +42,14 @@ func TestEncodeDecodeProperty(t *testing.T) {
 				if err := tr.Check(set); err != nil {
 					t.Fatalf("tree %d invalid before encoding: %v", i, err)
 				}
-				src := Encode(set, tr)
-				back, err := Decode(set, src)
+				src := tr.String(set)
+				back, err := Parse(set, src)
 				if err != nil {
-					t.Fatalf("tree %d: Decode(%q) failed: %v", i, src, err)
+					t.Fatalf("tree %d: Parse(%q) failed: %v", i, src, err)
 				}
 				if !back.Equal(tr) {
 					t.Fatalf("tree %d: round trip changed tree:\n encoded %q\n decoded %q",
-						i, src, Encode(set, back))
+						i, src, back.String(set))
 				}
 			}
 		})

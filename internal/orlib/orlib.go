@@ -25,7 +25,7 @@ import (
 	"carbon/internal/rng"
 )
 
-// MKP is one multidimensional knapsack instance:
+// MKP is one Multidimensional Knapsack Problem instance:
 // max p·x  s.t.  W·x ≤ cap,  x binary. Opt is the known optimum
 // recorded in the file (0 when unknown).
 type MKP struct {

@@ -183,7 +183,7 @@ type DeadRecord struct {
 
 // ResultRecord is the serializable summary of a finished job — the
 // subset of core.Result that survives JSON (trees travel as their
-// canonical text encoding, see gp.Encode).
+// canonical text encoding, see gp.Tree.String).
 type ResultRecord struct {
 	ID   string  `json:"id"`
 	Spec JobSpec `json:"spec"`
@@ -204,8 +204,8 @@ type ResultRecord struct {
 	GapCurveY []float64 `json:"gap_curve_y"`
 }
 
-// NewResultRecord flattens a core.Result for the spool and the API (the
-// networked island model reuses it to ship per-island results as JSON).
+// NewResultRecord flattens a core.Result for the spool and the API (and
+// for reference hashes computed outside a Manager).
 func NewResultRecord(id string, spec JobSpec, res *core.Result) *ResultRecord {
 	return &ResultRecord{
 		ID:          id,

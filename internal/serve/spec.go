@@ -82,10 +82,10 @@ func (s JobSpec) withDefaults() JobSpec {
 }
 
 // Normalize returns the spec with every default resolved — the
-// exported form of the normalization Submit performs, for subsystems
-// that run specs outside a Manager (the networked island model): every
-// peer of a distributed run must resolve defaults identically or their
-// engines diverge.
+// exported form of the normalization Submit performs, for callers that
+// run specs outside a Manager (reference runs in tests and the
+// benchmark): they must resolve defaults identically or their engines
+// diverge from the served job.
 func (s JobSpec) Normalize() JobSpec { return s.withDefaults() }
 
 // Validate rejects specs that could never run. It expects a normalized

@@ -5,11 +5,9 @@ package smoketest
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,7 +15,6 @@ import (
 	"time"
 
 	"carbon/internal/cluster"
-	"carbon/internal/cluster/netmigrate"
 	"carbon/internal/core"
 	"carbon/internal/serve"
 	"carbon/internal/span"
@@ -32,14 +29,6 @@ const (
 	fleetTP      = "00-" + fleetTraceID + "-b7ad6b7169203331-01"
 )
 
-func islandSpec() serve.JobSpec {
-	return serve.JobSpec{
-		N: 60, M: 5, Instance: 3,
-		Seed: 7, Pop: 10, ULEvals: 800, LLEvals: 1600,
-		PreySample: 2, Workers: 1,
-	}
-}
-
 // TestFleet is the carbonfleet router gate (`make fleet-smoke`): three
 // carbond workers plus a router, separate processes on loopback HTTP.
 //
@@ -52,8 +41,6 @@ func islandSpec() serve.JobSpec {
 //     survivor and finishes bit-identical.
 //   - Revival: the killed worker restarts on its old address and spool,
 //     and the router sweeps its stale copy of the re-homed job.
-//   - Networked islands: ring and broadcast runs spread over the fleet
-//     equal in-process RunIslands bit for bit.
 //   - Tracing: the failed-over job's trace spans the router and both
 //     hosting workers (>= 3 span files, one trace ID), and the union of
 //     every span file in the fleet assembles with zero orphans.
@@ -116,11 +103,6 @@ func TestFleet(t *testing.T) {
 		t.Fatalf("revived worker still runs the stale copy of %s (never swept)", oldJobID)
 	}
 
-	// Networked islands across the whole fleet.
-	for _, topo := range []core.Topology{core.TopologyRing, core.TopologyBroadcast} {
-		checkIslands(t, router, topo)
-	}
-
 	// Orderly shutdown before reading span files.
 	for _, p := range append([]*Proc{router}, workers...) {
 		p.Term()
@@ -147,60 +129,6 @@ func routeOf(t *testing.T, router *Proc, fleetID string) routeEntry {
 	}
 	t.Fatalf("router has no route for %s", fleetID)
 	return routeEntry{}
-}
-
-// checkIslands runs one island-model job through the router and
-// asserts the merged record equals in-process RunIslands bit for bit.
-func checkIslands(t *testing.T, router *Proc, topo core.Topology) {
-	t.Helper()
-	spec := islandSpec().Normalize()
-	mk, err := spec.Market()
-	if err != nil {
-		t.Fatalf("islands market: %v", err)
-	}
-	ref, err := core.RunIslands(mk, spec.Config(),
-		core.IslandConfig{Islands: 4, MigrateEvery: 3, Migrants: 1, Topology: topo})
-	if err != nil {
-		t.Fatalf("reference islands: %v", err)
-	}
-
-	body, _ := json.Marshal(netmigrate.IslandJob{ // plain fields: cannot fail
-		Spec: islandSpec(), Islands: 4, MigrateEvery: 3, Migrants: 1, Topology: string(topo),
-	})
-	resp, err := http.Post(router.URL()+"/v1/islands", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("islands %s: %v", topo, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("islands %s: HTTP %d: %s", topo, resp.StatusCode, msg)
-	}
-	rec := new(netmigrate.IslandRecord)
-	if err := json.NewDecoder(resp.Body).Decode(rec); err != nil {
-		t.Fatalf("islands %s: %v", topo, err)
-	}
-
-	if rec.BestRevenue != ref.Best.Revenue || rec.BestGapPct != ref.Best.GapPct ||
-		rec.BestTree != ref.Best.TreeStr || rec.Simplified != ref.Best.Simplified ||
-		rec.BestIsland != ref.BestIsland || rec.Migrations != ref.Migrations ||
-		!reflect.DeepEqual(rec.BestPrice, ref.Best.Price) {
-		t.Fatalf("islands %s: merged record diverged:\n got  %+v\n want best %+v island %d migrations %d",
-			topo, rec, ref.Best, ref.BestIsland, ref.Migrations)
-	}
-	if len(rec.PerIsland) != len(ref.PerIsland) {
-		t.Fatalf("islands %s: %d island records, want %d", topo, len(rec.PerIsland), len(ref.PerIsland))
-	}
-	for i, r := range rec.PerIsland {
-		w := ref.PerIsland[i]
-		if r.Gens != w.Gens || r.ULEvals != w.ULEvals || r.LLEvals != w.LLEvals ||
-			r.BestRevenue != w.Best.Revenue || r.BestGapPct != w.Best.GapPct ||
-			r.BestTree != w.Best.TreeStr || r.Simplified != w.Best.Simplified ||
-			!reflect.DeepEqual(r.BestPrice, w.Best.Price) ||
-			!reflect.DeepEqual(r.ULCurveY, w.ULCurve.Y) || !reflect.DeepEqual(r.GapCurveY, w.GapCurve.Y) {
-			t.Fatalf("islands %s: island %d diverged across the network", topo, i)
-		}
-	}
 }
 
 // checkFleetSpans reads every span file the fleet wrote, asserts the
