@@ -53,7 +53,9 @@ cover:
 	$(GO) test -cover ./...
 
 # Fuzzing, 10 s per target: the lane VM against the tree walker
-# (FuzzCompiledEval), the exact fmod against math.Mod (FuzzMod), the
+# (FuzzCompiledEval), a hash-consed forest of 2–5 trees sharing
+# subtrees against the tree walker, root by root (FuzzForestEval), the
+# exact fmod against math.Mod (FuzzMod), the
 # S-expression parser (FuzzParse) and the LP's warm start from garbled
 # bases (FuzzSolveFromBasis: a certified optimum or the cold solve, never
 # a panic) and the LP pricing kernels against the column loop
@@ -63,6 +65,7 @@ cover:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime 10s ./internal/gp/
+	$(GO) test -run '^$$' -fuzz '^FuzzForestEval$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzMod$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/gp/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveFromBasis$$' -fuzztime 10s ./internal/lp/

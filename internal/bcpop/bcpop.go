@@ -274,7 +274,7 @@ type Result struct {
 // *EvalMetrics disables instrumentation (no clock reads on the hot
 // path).
 type EvalMetrics struct {
-	TreeEvals   *telemetry.Counter   // EvalTree/EvalTreeWith calls (GP tree walks + greedy)
+	TreeEvals   *telemetry.Counter   // paired evaluations of a GP heuristic (scores + greedy)
 	GraspEvals  *telemetry.Counter   // GRASP starts charged as LL evals
 	SelEvals    *telemetry.Counter   // raw-selection (COBRA-style) evaluations
 	LPSolves    *telemetry.Counter   // real LP relaxation solves of induced instances
@@ -283,7 +283,7 @@ type EvalMetrics struct {
 	CacheMisses *telemetry.Counter   // Prepared contexts built (one real solve each)
 	Elims       *telemetry.Counter   // redundancy-elimination passes run
 	Infeasible  *telemetry.Counter   // follower answers that failed to cover
-	EvalTime    *telemetry.Timer     // latency of one paired evaluation
+	EvalTime    *telemetry.Timer     // latency of one paired evaluation; the greedy only on the compiled paths (EvalScoresWith, EvalProgramWith)
 	EvalLatency *telemetry.Histogram // same latency, µs buckets
 	GapPct      *telemetry.Histogram // %-gap distribution of feasible answers
 	Faults      *telemetry.Counter   // evaluations quarantined after an LP/heuristic failure
@@ -337,12 +337,11 @@ type Evaluator struct {
 	costs   []float64
 	scores  []float64
 
-	// Compiled-path scratch (DESIGN.md §5j): the bytecode VM, a program
-	// arena reused by CompileTree, and the greedy's working buffers.
-	// All grow once and are reused, so EvalProgramWith allocates
-	// nothing in steady state.
+	// Compiled-path scratch (DESIGN.md §5j): the lane VM and the
+	// greedy's working buffers. Both grow once and are reused, so
+	// EvalProgramWith and EvalScoresWith allocate nothing in steady
+	// state.
 	vm     *gp.VM
-	prog   gp.Program
 	greedy covering.GreedyScratch
 
 	// Eliminate controls the greedy's redundancy-elimination pass
@@ -358,7 +357,8 @@ type Evaluator struct {
 	Metrics *EvalMetrics
 
 	// EvalFault, when non-nil, is consulted at the start of every
-	// cached paired evaluation (EvalTreeWith); a non-nil return aborts
+	// cached paired evaluation (EvalTreeWith, EvalScoresWith,
+	// EvalProgramWith); a non-nil return aborts
 	// that evaluation. It models heuristic-side failures the same way
 	// the relaxer's fault hook models LP failures — fault injection
 	// only, nil in production.

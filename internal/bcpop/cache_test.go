@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"carbon/internal/covering"
+	"carbon/internal/gp"
 	"carbon/internal/lp"
 	"carbon/internal/rng"
 	"carbon/internal/telemetry"
@@ -445,17 +446,20 @@ func TestUnpreparedSlotTypedError(t *testing.T) {
 		t.Fatal("At on unfilled slot must stay nil")
 	}
 
-	// Both evaluation entry points must reject the nil context instead
+	// Every evaluation entry point must reject the nil context instead
 	// of dereferencing it.
 	if _, _, err := ev.EvalTreeWith(nil, tree); !errors.Is(err, ErrNotPrepared) {
 		t.Fatalf("EvalTreeWith(nil): err=%v, want ErrNotPrepared", err)
 	}
-	prog, err := ev.CompileTree(tree)
+	prog, err := gp.Compile(set, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ev.EvalProgramWith(nil, prog); !errors.Is(err, ErrNotPrepared) {
 		t.Fatalf("EvalProgramWith(nil): err=%v, want ErrNotPrepared", err)
+	}
+	if _, _, err := ev.EvalScoresWith(nil, make([]float64, mk.Bundles())); !errors.Is(err, ErrNotPrepared) {
+		t.Fatalf("EvalScoresWith(nil): err=%v, want ErrNotPrepared", err)
 	}
 
 	// After the outage clears, the same slot can be filled and read.

@@ -1,16 +1,18 @@
 // Compiled-predator evaluation (DESIGN.md §5j).
 //
 // EvalTreeWith re-decodes the predator's prefix nodes for every one of
-// the M×N (item, service) pairs of a prepared context and zeroes a
-// 4KiB interpreter stack per pair. The compiled path lowers the tree
-// to bytecode once (CompileTree) and sweeps the program across the
-// whole context with reused scratch (EvalProgramWith): same results
-// bit-for-bit — the VM replays the interpreter's exact operation
-// sequence and the greedy runs the identical algorithm on identical
-// scores — but with zero steady-state allocations. The engine compiles
-// each predator once per generation and evaluates it against every
-// cached prey context; the interpreter remains the test oracle the VM
-// is checked against.
+// the M×N (item, service) pairs of a prepared context. The compiled
+// path scores items with a gp.Forest instead: the engine compiles the
+// whole predator population into one hash-consed forest per
+// generation, scores every distinct tree against a prepared context in
+// one sweep (covering.ScoreForestInto) and hands each predator's score
+// row to EvalScoresWith, which runs the greedy with reused scratch.
+// EvalProgramWith is the same for a single compiled tree (the hunter).
+// Both are bit-identical to EvalTreeWith on the source tree — the
+// runner replays the interpreter's exact operations and the greedy
+// runs the identical algorithm on identical scores — with zero
+// steady-state allocations. The interpreter remains the test oracle
+// the runner is checked against.
 package bcpop
 
 import (
@@ -20,30 +22,17 @@ import (
 	"carbon/internal/gp"
 )
 
-// CompileTree lowers a predator tree to bytecode, reusing this
-// evaluator's program arena: one CompileTree per (predator, worker,
-// generation), after which the evaluation wave allocates nothing. The
-// returned program aliases evaluator-owned storage and is valid until
-// the next CompileTree on this evaluator — use gp.Compile directly for
-// a program that must outlive that (e.g. one shared read-only across
-// workers).
-func (ev *Evaluator) CompileTree(tree gp.Tree) (*gp.Program, error) {
-	if err := ev.prog.Compile(ev.set, tree); err != nil {
-		return nil, err
-	}
-	return &ev.prog, nil
-}
-
-// EvalProgramWith is EvalTreeWith for a compiled predator: it scores
-// items by replaying the program against the cached relaxation, runs
-// the greedy and reports the paired Result plus the follower basket.
-// Results are bit-identical to EvalTreeWith on the program's source
-// tree, and the metrics accounting is the same — one LL evaluation
-// (Evals), one TreeEvals, one CacheHits, no LP solve. Unlike
-// EvalTreeWith, the returned basket aliases evaluator scratch and is
-// only valid until the next evaluation on this evaluator; copy it to
-// retain it.
-func (ev *Evaluator) EvalProgramWith(p *Prepared, prog *gp.Program) (Result, []bool, error) {
+// EvalScoresWith pairs a prepared pricing context with item scores the
+// caller already computed for it — one predator's row of a forest
+// sweep: it runs the greedy and reports the paired Result plus the
+// follower basket. The accounting is EvalTreeWith's — EvalFault is
+// consulted first, then one LL evaluation (Evals), one TreeEvals, one
+// CacheHits, no LP solve — and the latency it records (EvalTime,
+// EvalLatency) covers the greedy only, since the scores came from
+// elsewhere. scores is only read. The returned basket aliases
+// evaluator scratch and is only valid until the next evaluation on
+// this evaluator; copy it to retain it.
+func (ev *Evaluator) EvalScoresWith(p *Prepared, scores []float64) (Result, []bool, error) {
 	if p == nil {
 		return Result{}, nil, ErrNotPrepared
 	}
@@ -56,8 +45,7 @@ func (ev *Evaluator) EvalProgramWith(p *Prepared, prog *gp.Program) (Result, []b
 	if ev.Metrics != nil {
 		t0 = time.Now()
 	}
-	covering.ScoreProgramInto(p.In, p.Rx, ev.vm, prog, ev.scores)
-	res := p.In.GreedyByScoreInto(ev.scores, ev.Eliminate, &ev.greedy)
+	res := p.In.GreedyByScoreInto(scores, ev.Eliminate, &ev.greedy)
 	ev.Evals++
 	out := ev.result(p.Price, p.Rx, res)
 	if m := ev.Metrics; m != nil {
@@ -69,4 +57,25 @@ func (ev *Evaluator) EvalProgramWith(p *Prepared, prog *gp.Program) (Result, []b
 		m.observe(t0, out)
 	}
 	return out, res.X, nil
+}
+
+// EvalProgramWith is EvalTreeWith for a compiled predator: it scores
+// items by running the program against the cached relaxation, then
+// finishes as EvalScoresWith — same Result bits as EvalTreeWith on the
+// program's source tree, same accounting, and a basket that aliases
+// evaluator scratch.
+func (ev *Evaluator) EvalProgramWith(p *Prepared, prog *gp.Program) (Result, []bool, error) {
+	if p == nil {
+		return Result{}, nil, ErrNotPrepared
+	}
+	covering.ScoreProgramInto(p.In, p.Rx, ev.vm, prog, ev.scores)
+	return ev.EvalScoresWith(p, ev.scores)
+}
+
+// ScoreForest scores the items of a prepared context with every
+// distinct tree of a compiled forest, on this evaluator's VM: row r of
+// slab (f.Rows() rows of M) receives row r's scores, bit-identical to
+// scoring each source tree alone. p must be non-nil.
+func (ev *Evaluator) ScoreForest(p *Prepared, f *gp.Forest, slab []float64) {
+	covering.ScoreForestInto(p.In, p.Rx, ev.vm, f, slab)
 }

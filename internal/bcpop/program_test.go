@@ -37,7 +37,7 @@ func TestEvalProgramWithMatchesEvalTreeWith(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := evProg.CompileTree(tree)
+		prog, err := gp.Compile(set, tree)
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v", trial, err)
 		}
@@ -82,7 +82,7 @@ func TestEvalProgramWithMetricsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := set.Ramped(r, 1, 4)
-	prog, err := ev.CompileTree(tree)
+	prog, err := gp.Compile(set, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +111,14 @@ func TestEvalProgramWithMetricsParity(t *testing.T) {
 }
 
 // A tree decoded against a bigger terminal set than the evaluator's
-// must fail CompileTree (not read past the environment), and a set
-// with more terminals than the scorer environment must be rejected at
-// evaluator construction.
+// must fail to compile over the evaluator's set (not read past the
+// environment), and a set with more terminals than the scorer
+// environment must be rejected at evaluator construction.
 func TestHostileTerminalSetsRejected(t *testing.T) {
 	mk := testMarket(t, 20, 10, 2)
 	wide := covering.TableISet() // 5 terminals
 	narrow := &gp.Set{Ops: gp.TableIOps(), Terms: []string{"c", "q"}}
-	ev, err := NewEvaluator(mk, narrow)
-	if err != nil {
+	if _, err := NewEvaluator(mk, narrow); err != nil {
 		t.Fatal(err)
 	}
 	// "xbar" is terminal index 4 in the wide set — out of range for the
@@ -128,8 +127,8 @@ func TestHostileTerminalSetsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.CompileTree(hostile); err == nil {
-		t.Fatal("CompileTree accepted a tree over a larger terminal set")
+	if _, err := gp.Compile(narrow, hostile); err == nil {
+		t.Fatal("Compile accepted a tree over a larger terminal set")
 	}
 
 	over := &gp.Set{Ops: gp.TableIOps(), Terms: []string{"t0", "t1", "t2", "t3", "t4", "t5"}}
@@ -156,7 +155,7 @@ func TestEvalProgramWithZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := set.Ramped(r, 2, 5)
-	prog, err := ev.CompileTree(tree)
+	prog, err := gp.Compile(set, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestEvalProgramWithZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkEvalProgram500x30 is the compiled batched hot path at paper
-// scale: one Prepare + one CompileTree, then repeated cached paired
+// scale: one Prepare + one Compile, then repeated cached paired
 // evaluations. Compare against BenchmarkEvalTree500x30 (uncached
 // interpreter) and BenchmarkEvalTreeWith500x30 (cached interpreter).
 func BenchmarkEvalProgram500x30(b *testing.B) {
@@ -189,7 +188,7 @@ func BenchmarkEvalProgram500x30(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := ev.CompileTree(tree)
+	prog, err := gp.Compile(set, tree)
 	if err != nil {
 		b.Fatal(err)
 	}

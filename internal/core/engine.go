@@ -60,11 +60,20 @@ type Engine struct {
 	missing  []int
 
 	// The generation's prey sample (the prey every predator is scored
-	// against) and its compiled hunter (the best predator, which scores
-	// every prey). Set by Step on the coordinator; the waves only read
-	// them.
+	// against), its predators compiled as one hash-consed forest, and
+	// its compiled hunter (the best predator, which scores every prey).
+	// Set by Step on the coordinator; the waves only read them.
 	sample []int
-	hunter *gp.Program
+	forest gp.Forest
+	hunter gp.Program
+
+	// Predator-wave scratch, allocated once per engine: one score slab
+	// per worker (a row of M item scores per distinct predator, made by
+	// the worker's first sweep) and the predator-major
+	// |predators|×|sample| matrix of pairing results the serial fold
+	// reads.
+	slabs [][]float64
+	pairs []pairing
 
 	ulArch *archive.Archive[[]float64]
 	gpArch *archive.Archive[gp.Tree]
@@ -238,6 +247,8 @@ func NewEngine(mk *bcpop.Market, cfg Config) (*Engine, error) {
 	e.preyErr = make([]error, cfg.ULPopSize)
 	e.predErr = make([]error, cfg.LLPopSize)
 	e.predQuar = make([]bool, cfg.LLPopSize)
+	e.slabs = make([][]float64, workers)
+	e.pairs = make([]pairing, cfg.LLPopSize*cfg.EffectiveSample())
 	e.ulArch = archive.New(cfg.ULArchiveSize, false, priceKey, slices.Clone[[]float64])
 	e.gpArch = archive.New(cfg.LLArchiveSize, true,
 		func(t gp.Tree) string { return t.String(set) }, gp.Tree.Clone)
@@ -335,12 +346,10 @@ func (e *Engine) Step() bool {
 	// read-only across workers (each runs it on its own VM). It was just
 	// compiled and evaluated in the predator wave, so a compile failure
 	// here is impossible short of memory corruption — terminal.
-	hunter, err := gp.Compile(e.set, e.predators[bestPred])
-	if err != nil {
+	if err := e.hunter.Compile(e.set, e.predators[bestPred]); err != nil {
 		e.fail(fmt.Errorf("core: generation %d: hunter compile: %w", gen, err))
 		return false
 	}
-	e.hunter = hunter
 	e.wave(wavePreyEval, len(e.prey), e.preyWave)
 	quarPrey, ok := e.foldPrey(gen)
 	if !ok {
@@ -559,57 +568,94 @@ func (e *Engine) gapMatrix() []float64 {
 	return gm
 }
 
+// pairing is one (predator, sampled prey) evaluation of the predator
+// wave. skip marks a prey whose relaxation faulted this generation.
+type pairing struct {
+	gap, cost float64
+	err       error
+	skip      bool
+}
+
 // predatorWave scores every predator by its mean %-gap (Eq. 1; the raw
-// follower cost under CostFitness) over the sampled prey. Each
-// predator is compiled once and swept across the cached prey contexts
-// with its worker's reused VM and greedy scratch — zero allocations in
-// steady state. A predator is quarantined when it has no fitness this
-// generation: its compile or one of its pairings failed (predErr), or
-// every sampled prey was already quarantined. Pairings against
-// quarantined prey are skipped; the mean averages the pairings that
-// ran, which equals the usual mean when nothing faulted. gm (nil when
-// stats are off) receives every pairing's gap by pairing index, so it
-// is identical regardless of worker scheduling. Writes are per-index
-// disjoint.
+// follower cost under CostFitness) over the sampled prey. The
+// generation's predators are compiled into one hash-consed forest, and
+// the sampled prey are striped over the workers: each worker scores
+// every distinct predator against its prey in one forest sweep into
+// its own slab, then runs the greedy for every predator on its row.
+// Each pairing's result lands in the pairing matrix, so the serial
+// fold below sees the same values at any worker count. Writes are
+// per-index disjoint.
 func (e *Engine) predatorWave(gm []float64) {
+	e.forest.Compile(e.set, e.predators)
+	np, m := len(e.predators), e.mk.Bundles()
+	par.Striped(len(e.sample), e.workers, e.parMetrics(), func(si, worker int) {
+		p := e.cache.At(e.preySlot[e.sample[si]])
+		if p == nil { // the prey's relaxation faulted this generation
+			for i := range np {
+				e.pairs[i*len(e.sample)+si] = pairing{skip: true}
+			}
+			return
+		}
+		if e.slabs[worker] == nil {
+			e.slabs[worker] = make([]float64, np*m)
+		}
+		ev, slab := e.evs[worker], e.slabs[worker]
+		ev.ScoreForest(p, &e.forest, slab)
+		for i := range np {
+			c := pairing{}
+			if row, err := e.forest.Row(i); err == nil {
+				out, _, err := ev.EvalScoresWith(p, slab[row*m:(row+1)*m])
+				c = pairing{gap: out.GapPct, cost: out.LLCost, err: err}
+			}
+			e.pairs[i*len(e.sample)+si] = c
+		}
+	})
+	e.foldPairings(gm)
+}
+
+// foldPairings turns the pairing matrix into predator fitness, in
+// sample order per predator. A predator is quarantined when it has no
+// fitness this generation: its compile or one of its pairings failed
+// (predErr; the pairings after a failed one are ignored), or every
+// sampled prey was already quarantined. Pairings against quarantined
+// prey are skipped; the mean averages the pairings that ran, which
+// equals the usual mean when nothing faulted. gm (nil when stats are
+// off) receives every counted pairing's gap by pairing index.
+func (e *Engine) foldPairings(gm []float64) {
 	ns := len(e.sample)
-	par.Striped(len(e.predators), e.workers, e.parMetrics(), func(i, worker int) {
-		ev := e.evs[worker]
+	for i := range e.predators {
 		e.predErr[i] = nil
 		e.predQuar[i] = true
-		prog, err := ev.CompileTree(e.predators[i])
-		if err != nil {
+		if _, err := e.forest.Row(i); err != nil {
 			e.predErr[i] = fmt.Errorf("core: predator %d compile: %w", i, err)
-			return
+			continue
 		}
 		total := 0.0
 		pairs := 0
-		for si, s := range e.sample {
-			p := e.cache.At(e.preySlot[s])
-			if p == nil {
-				continue // prey s's relaxation faulted this generation
+		for si, c := range e.pairs[i*ns : (i+1)*ns] {
+			if c.skip {
+				continue
 			}
-			out, _, err := ev.EvalProgramWith(p, prog)
-			if err != nil {
-				e.predErr[i] = fmt.Errorf("core: predator %d evaluation: %w", i, err)
-				return
+			if c.err != nil {
+				e.predErr[i] = fmt.Errorf("core: predator %d evaluation: %w", i, c.err)
+				break
 			}
 			if gm != nil {
-				gm[i*ns+si] = out.GapPct
+				gm[i*ns+si] = c.gap
 			}
 			if e.cfg.CostFitness {
-				total += out.LLCost // ablation: COBRA-style objective
+				total += c.cost // ablation: COBRA-style objective
 			} else {
-				total += out.GapPct // paper: Eq. 1
+				total += c.gap // paper: Eq. 1
 			}
 			pairs++
 		}
-		if pairs == 0 {
-			return
+		if e.predErr[i] != nil || pairs == 0 {
+			continue
 		}
 		e.predQuar[i] = false
 		e.predFit[i] = total / float64(pairs)
-	})
+	}
 }
 
 // preyWave scores every healthy prey by its revenue under the hunter.
@@ -618,7 +664,7 @@ func (e *Engine) preyWave() {
 		if e.preyErr[i] != nil {
 			return // relaxation already quarantined this prey
 		}
-		out, _, err := e.evs[worker].EvalProgramWith(e.cache.At(e.preySlot[i]), e.hunter)
+		out, _, err := e.evs[worker].EvalProgramWith(e.cache.At(e.preySlot[i]), &e.hunter)
 		if err != nil {
 			e.preyErr[i] = fmt.Errorf("core: prey %d evaluation: %w", i, err)
 			return

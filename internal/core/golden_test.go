@@ -58,13 +58,15 @@ func TestExactModeGoldenBitIdentical(t *testing.T) {
 	})
 }
 
-// TestCompiledRunGolden pins the bytecode evaluation path, and that a
-// run's bits do not depend on Workers: every prey's relaxation starts
-// from its nearer parent's basis, never from a worker's solve history,
-// so Workers 1 to 4 must all give the same Result. The predator
-// evaluations behind it were once proved bit-identical to the
-// tree-walking interpreter, which stays the test oracle of the VM
-// (gp.FuzzCompiledEval).
+// TestCompiledRunGolden pins the compiled evaluation path (the
+// predator forest and the hunter program), and that a run's bits do
+// not depend on Workers: every prey's relaxation starts from its
+// nearer parent's basis, never from a worker's solve history, and the
+// predator wave folds its pairings in sample order, so Workers 1 to 4
+// must all give the same Result. The predator evaluations behind it
+// were once proved bit-identical to the tree-walking interpreter,
+// which stays the test oracle of the runner (gp.FuzzCompiledEval,
+// gp.FuzzForestEval).
 func TestCompiledRunGolden(t *testing.T) {
 	var goldens []runGolden
 	for workers := 1; workers <= 4; workers++ {

@@ -30,6 +30,15 @@ type SearchStats struct {
 	PredDepthMax  int     `json:"pred_depth_max"`
 	BloatRate     float64 `json:"bloat_rate"`
 
+	// Predator sharing: distinct trees among the predators (duplicates
+	// share one forest root) and distinct operator nodes of the
+	// generation's hash-consed forest — the operations one scoring run
+	// performs per (item, service) lane. Few distinct trees mark a
+	// collapsed population; operator nodes far below the summed tree
+	// sizes mark bloat built from shared subtrees.
+	PredDistinct int `json:"pred_distinct,omitempty"`
+	ForestOps    int `json:"forest_ops,omitempty"`
+
 	// %-gap distribution over the full paired-evaluation matrix
 	// (every predator × every sampled prey), via a deterministic
 	// streaming quantile sketch. Min/Max are exact.
@@ -97,6 +106,7 @@ func (e *Engine) computeSearchStats(gapMat []float64, ulAdds, gpAdds int) *Searc
 		st.BloatRate = (sh.SizeMean - e.prevSizeMean) / e.prevSizeMean
 	}
 	e.prevSizeMean = sh.SizeMean
+	st.PredDistinct, st.ForestOps = e.forest.Rows(), e.forest.OpNodes()
 
 	s := e.gapSketch
 	s.Reset()

@@ -345,3 +345,48 @@ func TestSnapshotRestoreWithStats(t *testing.T) {
 		t.Fatal("restored run produced no ancestry")
 	}
 }
+
+// TestSearchStatsPredatorSharing pins the predator-sharing fields on a
+// seeded run: PredDistinct counts the distinct trees of the population
+// each generation evaluated, and ForestOps the distinct operator nodes
+// of its hash-consed forest, never more than the population's summed
+// operator nodes (one "(" each in the S-expression).
+func TestSearchStatsPredatorSharing(t *testing.T) {
+	cfg := smallConfig(9)
+	var got []*SearchStats
+	cfg.Observer = FuncObserver{Generation: func(gs GenStats) { got = append(got, gs.Search) }}
+	e, err := NewEngine(smallMarket(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var distinct, opNodes []int
+	for {
+		seen := map[string]bool{}
+		ops := 0
+		for _, tr := range e.predators {
+			src := tr.String(e.set)
+			seen[src] = true
+			ops += strings.Count(src, "(")
+		}
+		if !e.Step() {
+			break
+		}
+		distinct, opNodes = append(distinct, len(seen)), append(opNodes, ops)
+	}
+	want := [][2]int{{16, 75}, {16, 53}, {16, 37}, {15, 23}, {11, 18}, {15, 21},
+		{14, 23}, {14, 25}, {13, 17}, {10, 11}, {10, 12}, {12, 13}}
+	if len(got) != len(want) {
+		t.Fatalf("%d generations observed, want %d", len(got), len(want))
+	}
+	for i, st := range got {
+		if st.PredDistinct != distinct[i] {
+			t.Fatalf("gen %d: pred_distinct = %d, population has %d distinct trees", i+1, st.PredDistinct, distinct[i])
+		}
+		if st.ForestOps > opNodes[i] {
+			t.Fatalf("gen %d: forest_ops = %d above the population's %d operator nodes", i+1, st.ForestOps, opNodes[i])
+		}
+		if g := [2]int{st.PredDistinct, st.ForestOps}; g != want[i] {
+			t.Fatalf("gen %d: (pred_distinct, forest_ops) = %v, want %v", i+1, g, want[i])
+		}
+	}
+}

@@ -67,36 +67,43 @@ func (ts *TreeScorer) Score(tree gp.Tree, scores []float64) {
 	}
 }
 
-// scoreBlock is how many items ScoreProgramInto evaluates per VM pass:
-// the lane width, so the VM's operand stack is at most depth × 128
-// floats.
+// scoreBlock is how many items one forest run covers: the lane width,
+// so the VM's value slots hold at most slots × 128 floats.
 const scoreBlock = 128
 
-// ScoreProgramInto is Score for a compiled tree, in the allocation-free
-// form the evaluation hot path uses: no scorer object, and the VM's
-// operand stack is reused across calls. Items are the VM's lanes. For
-// each block of up to scoreBlock items and each service k in ascending
-// order, the program runs once over the block — c, qᵏ and x̄ are
-// contiguous per-item vectors (Q is row-major), bᵏ and d_k broadcast —
-// and each item's value is added into its score. Every item's sum
-// therefore runs 0 + v₀ + v₁ + … in ascending k exactly as in Score,
-// and the VM reproduces gp.Tree.Eval bit for bit per lane, so the
-// scores are bit-identical to Score on the program's source tree.
-func ScoreProgramInto(in *Instance, rx *Relaxation, vm *gp.VM, p *gp.Program, scores []float64) {
-	for j0 := 0; j0 < len(scores); j0 += scoreBlock {
-		j1 := min(j0+scoreBlock, len(scores))
-		out := scores[j0:j1]
-		clear(out)
+// ScoreForestInto is Score for every tree of a compiled forest at once,
+// in the allocation-free form the evaluation hot path uses. scores is a
+// slab of f.Rows() rows of M: row r receives the scores of the trees
+// whose Row is r. Items are the VM's lanes. For each block of up to
+// scoreBlock items and each service k in ascending order, the forest
+// runs once over the block — c, qᵏ and x̄ are contiguous per-item
+// vectors (Q is row-major), bᵏ and d_k broadcast — and each root adds
+// its NaN-collapsed value into its row. Every item's sum therefore runs
+// 0 + v₀ + v₁ + … in ascending k exactly as in Score, and the runner
+// reproduces gp.Tree.Eval bit for bit per lane, so every row is
+// bit-identical to Score on its source tree.
+func ScoreForestInto(in *Instance, rx *Relaxation, vm *gp.VM, f *gp.Forest, scores []float64) {
+	m := in.M()
+	for j0 := 0; j0 < m; j0 += scoreBlock {
+		j1 := min(j0+scoreBlock, m)
+		for r := range f.Rows() {
+			clear(scores[r*m+j0 : r*m+j1])
+		}
 		env := [EnvLen]gp.Term{0: {V: in.C[j0:j1]}, 4: {V: rx.XBar[j0:j1]}}
 		for k, b := range in.B {
 			env[1].V = in.Q[k][j0:j1]
 			env[2].S = b
 			env[3].S = rx.Dual[k]
-			for i, v := range vm.EvalLanes(p, env[:], len(out)) {
-				out[i] += v
-			}
+			vm.AddRoots(f, env[:], j1-j0, scores[j0:], m)
 		}
 	}
+}
+
+// ScoreProgramInto is ScoreForestInto for one compiled tree: scores
+// holds its M item scores, overwritten, bit-identical to Score on the
+// program's source tree.
+func ScoreProgramInto(in *Instance, rx *Relaxation, vm *gp.VM, p *gp.Program, scores []float64) {
+	ScoreForestInto(in, rx, vm, p.Forest(), scores[:in.M()])
 }
 
 // ApplyHeuristic scores the items with the tree and runs the greedy,

@@ -41,11 +41,51 @@ func coverInstance(t testing.TB, r *rng.Rand, m, n int) *Instance {
 	return in
 }
 
+// sharedPopulation draws n trees over set the way crossover shapes a
+// population: a few fresh trees, then duplicates of earlier trees and
+// trees joining two earlier ones under a binary operator, so earlier
+// roots become interior nodes shared by later trees.
+func sharedPopulation(t testing.TB, set *gp.Set, r *rng.Rand, n int) []gp.Tree {
+	t.Helper()
+	var binary []string
+	for _, op := range set.Ops {
+		if op.Arity == 2 {
+			binary = append(binary, op.Name)
+		}
+	}
+	pop := make([]gp.Tree, 0, n)
+	for len(pop) < n {
+		if len(pop) < 3 {
+			pop = append(pop, set.Ramped(r, 1, 4))
+			continue
+		}
+		a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
+		switch {
+		case r.Bool(0.25):
+			pop = append(pop, a.Clone())
+		case a.Size()+b.Size() >= 200:
+			pop = append(pop, set.Ramped(r, 1, 4))
+		default:
+			src := fmt.Sprintf("(%s %s %s)", binary[r.Intn(len(binary))], a.String(set), b.String(set))
+			tree, err := gp.Parse(set, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop = append(pop, tree)
+		}
+	}
+	return pop
+}
+
 // ScoreProgramInto must reproduce TreeScorer.Score bit for bit at item
 // counts on both sides of the lane block boundary, for Table I trees
 // with constants, for the extension builtins (neg/min/max) and for
 // custom operators that take the VM's generic call path — one of them
 // (ln) turns some lanes NaN or -Inf while its neighbours stay finite.
+// ScoreForestInto must do the same for every tree of a population with
+// shared subtrees and duplicates, on 500 items so the block loop runs:
+// there a NaN that one tree's root collapses to 0 in its own row is
+// still NaN to the trees that contain it.
 func TestScoreProgramIntoMatchesTreeScorer(t *testing.T) {
 	withConsts := TableISet()
 	withConsts.ConstProb, withConsts.ConstMin, withConsts.ConstMax = 0.25, -3, 3
@@ -91,7 +131,71 @@ func TestScoreProgramIntoMatchesTreeScorer(t *testing.T) {
 					}
 				}
 			}
+			if m == 500 {
+				checkForestScores(t, set, name, in, rx, vm, sharedPopulation(t, set, r, 40))
+			}
 		}
+	}
+}
+
+// checkForestScores compiles pop into one forest, scores it with
+// ScoreForestInto and checks every tree's row against TreeScorer.Score.
+func checkForestScores(t *testing.T, set *gp.Set, name string, in *Instance, rx *Relaxation, vm *gp.VM, pop []gp.Tree) {
+	t.Helper()
+	var f gp.Forest
+	f.Compile(set, pop)
+	if f.Rows() >= len(pop) {
+		t.Fatalf("%s: %d distinct roots for %d trees with duplicates", name, f.Rows(), len(pop))
+	}
+	m := in.M()
+	slab := make([]float64, f.Rows()*m)
+	for j := range slab {
+		slab[j] = math.NaN()
+	}
+	ScoreForestInto(in, rx, vm, &f, slab)
+	ts := NewTreeScorer(set, in, rx)
+	want := make([]float64, m)
+	for i, tree := range pop {
+		row, err := f.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.Score(tree, want)
+		got := slab[row*m : (row+1)*m]
+		for j := range want {
+			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+				t.Fatalf("M=%d %s forest tree %d %s: item %d scored %v (%x) by the tree, %v (%x) by the forest",
+					m, name, i, tree.String(set), j, want[j], math.Float64bits(want[j]),
+					got[j], math.Float64bits(got[j]))
+			}
+		}
+	}
+}
+
+// A forest compile plus a sweep allocates nothing once the forest, the
+// VM and the slab have grown: the engine recompiles the population and
+// rescores it every generation.
+func TestScoreForestZeroAlloc(t *testing.T) {
+	set := TableISet()
+	r := rng.New(8)
+	in := coverInstance(t, r, 300, 6)
+	rx, err := in.Relax()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pops := [][]gp.Tree{sharedPopulation(t, set, r, 60), sharedPopulation(t, set, r, 60)}
+	var f gp.Forest
+	vm := gp.NewVM()
+	slab := make([]float64, 60*in.M())
+	sweep := func() {
+		for _, pop := range pops {
+			f.Compile(set, pop)
+			ScoreForestInto(in, rx, vm, &f, slab)
+		}
+	}
+	sweep() // grow every buffer once
+	if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+		t.Fatalf("forest compile + sweep allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -135,5 +239,40 @@ func BenchmarkScoreProgram(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkScoreForest is the predator wave's scoring kernel: a
+// 100-tree population with shared subtrees and duplicates, compiled
+// into one forest and scored against a relaxed instance in one sweep,
+// at the small-gen and paper-scale shapes. The compile sub-benchmark
+// is the once-per-generation forest compile alone.
+func BenchmarkScoreForest(b *testing.B) {
+	set := TableISet()
+	for _, shape := range []struct{ m, n int }{{100, 5}, {500, 30}} {
+		r := rng.New(uint64(shape.m))
+		in := randomInstance(b, r, shape.m, shape.n)
+		rx, err := in.Relax()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pop := sharedPopulation(b, set, r, 100)
+		var f gp.Forest
+		f.Compile(set, pop)
+		name := fmt.Sprintf("n%d_m%d", shape.m, shape.n)
+		b.Run(name+"/compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.Compile(set, pop)
+			}
+		})
+		b.Run(fmt.Sprintf("%s/rows%d_ops%d", name, f.Rows(), f.OpNodes()), func(b *testing.B) {
+			vm := gp.NewVM()
+			slab := make([]float64, f.Rows()*in.M())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ScoreForestInto(in, rx, vm, &f, slab)
+			}
+		})
 	}
 }

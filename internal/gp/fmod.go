@@ -40,13 +40,21 @@ func fmod(x, y float64) float64 {
 		r = (r << s) % my
 		d -= s
 	}
-	// r < 2^53 converts exactly, and r·2^ey is the exact remainder,
-	// which is representable, so Ldexp does not round.
-	v := math.Ldexp(float64(r), ey)
-	if ax != math.Float64bits(x) { // x is negative
-		return -v
+	// The remainder r·2^ey is exact and representable, so its bits are
+	// built directly: normalize r to a 53-bit significand, rebias the
+	// exponent, and shift right into the subnormal range when the
+	// biased exponent is not positive. No bit is lost either way.
+	sign := math.Float64bits(x) & signMask
+	if r == 0 {
+		return math.Float64frombits(sign) // ±0 with the sign of x
 	}
-	return v
+	const fracBits = 52
+	shift := bits.LeadingZeros64(r) - (63 - fracBits)
+	m, e := r<<shift, ey-shift+1075 // value m·2^(e-1075), m in [2^52, 2^53)
+	if e > 0 {
+		return math.Float64frombits(sign | uint64(e)<<fracBits | m&(1<<fracBits-1))
+	}
+	return math.Float64frombits(sign | m>>(1-e))
 }
 
 // unpack splits the bits of a finite, non-zero, non-negative float64

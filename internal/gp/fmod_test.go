@@ -81,3 +81,25 @@ func FuzzMod(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkFmod times fmod on operand pairs like those a scoring sweep
+// feeds it: magnitudes a few binades apart, both signs, and the odd
+// subnormal remainder.
+func BenchmarkFmod(b *testing.B) {
+	r := rng.New(3)
+	const n = 1024
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		ys[i] = r.Range(0.5, 1) * math.Ldexp(1, r.IntRange(-8, 8))
+		xs[i] = r.Range(-1, 1) * math.Ldexp(ys[i], r.IntRange(0, 24))
+	}
+	ys[n-1], xs[n-1] = 0x1p-1060, 0x1p-1030+0x1p-1070
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		sink += fmod(xs[i%n], ys[i%n])
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("fmod returned NaN on finite operands")
+	}
+}

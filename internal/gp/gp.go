@@ -243,8 +243,7 @@ func (t Tree) Depth(s *Set) int {
 }
 
 // MaxNodes is the hard node-count ceiling for evaluable trees: the
-// operand stack of Eval (and the bytecode VM's high-water bound) is
-// sized for it. Check rejects bigger trees, so every decode path —
+// operand stack of Eval is sized for it. Check rejects bigger trees, so every decode path —
 // checkpoint restore, job specs, migrant injection — degrades to an
 // error on hostile input instead of overflowing the evaluation stack.
 // Breeding stays far below it (Limits.MaxSize is clamped to MaxNodes).
