@@ -235,14 +235,14 @@ func TestCompileRejectsMalformedTrees(t *testing.T) {
 	}
 }
 
-// The lane path allocates nothing once the stack has grown, at width 1
+// The lane path allocates nothing once the value slots have grown, at width 1
 // and at the scorer's block width, with vector and broadcast terminals.
 func TestVMEvalZeroAlloc(t *testing.T) {
 	s := compileSet()
 	_, p := mustCompile(t, s, "(* (+ c (% q d)) (- b (mod x c)))")
 	vm := NewVM()
 	env := []float64{1, 2, 3, 4, 5}
-	evalOne(vm, p, env) // grow the stack once
+	evalOne(vm, p, env) // grow the slots once
 	if allocs := testing.AllocsPerRun(200, func() { evalOne(vm, p, env) }); allocs != 0 {
 		t.Fatalf("EvalLanes at width 1 allocates %v per call, want 0", allocs)
 	}
