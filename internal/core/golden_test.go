@@ -19,10 +19,18 @@ type runGolden struct {
 
 func checkRunGoldens(t *testing.T, goldens []runGolden) {
 	t.Helper()
+	checkConfigGoldens(t, goldens, func(*Config) {})
+}
+
+// checkConfigGoldens is checkRunGoldens with edit applied to every
+// run's smallConfig.
+func checkConfigGoldens(t *testing.T, goldens []runGolden, edit func(*Config)) {
+	t.Helper()
 	mk := smallMarket(t)
 	for _, g := range goldens {
 		cfg := smallConfig(g.seed)
 		cfg.Workers = g.workers
+		edit(&cfg)
 		res, err := Run(mk, cfg)
 		if err != nil {
 			t.Fatalf("seed=%d workers=%d: %v", g.seed, g.workers, err)
@@ -75,4 +83,15 @@ func TestCompiledRunGolden(t *testing.T) {
 			runGolden{17, workers, 12, 0x40a2bb587d6a9d44, 0x4010c243470544b5, "(+ xbar xbar)"})
 	}
 	checkRunGoldens(t, goldens)
+}
+
+// TestCostFitnessResultGolden pins Result under the CostFitness
+// ablation, where the archive holds raw costs and Result re-measures
+// the best tree's gap on a seed-derived prey sample. No other golden
+// reaches that path.
+func TestCostFitnessResultGolden(t *testing.T) {
+	checkConfigGoldens(t, []runGolden{
+		{17, 1, 12, 0x40a2bb587d6a9d44, 0x40184751ba8f1c74, "(+ xbar xbar)"},
+		{21, 1, 12, 0x40a3cd23f122111c, 0x40113d745f59f240, "(mod xbar q)"},
+	}, func(cfg *Config) { cfg.CostFitness = true })
 }
