@@ -10,10 +10,11 @@ all: build vet test
 
 # The full pre-commit gate: compile, static checks, lint, tests, race
 # detector, an arm64 cross-build, a one-iteration pass over the internal
-# benchmarks (so they cannot rot), the repo benchmark's own smoke test
-# and the five live-process smoke gates. Performance is measured by
-# benchmark/ (`bash benchmark/run.sh`), not here.
-check: build vet lint test race cross bench-smoke bench-module smoke
+# benchmarks (so they cannot rot), the repo benchmark's own smoke test,
+# the five live-process smoke gates and a run of every example (under a
+# second together once built). Performance is measured by benchmark/
+# (`bash benchmark/run.sh`), not here.
+check: build vet lint test race cross bench-smoke bench-module smoke examples
 
 build:
 	$(GO) build ./...
@@ -52,10 +53,10 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzzing, 10 s per target: the lane VM against the tree walker
-# (FuzzCompiledEval), a hash-consed forest of 2–5 trees sharing
-# subtrees against the tree walker, root by root (FuzzForestEval), the
-# exact fmod against math.Mod (FuzzMod), the
+# Fuzzing, 10 s per target: the runner on one compiled tree against the
+# tree walker, lane by lane (FuzzCompiledEval), a hash-consed forest of
+# 2–5 trees sharing subtrees against the tree walker, root by root
+# (FuzzForestEval), the exact fmod against math.Mod (FuzzMod), the
 # S-expression parser (FuzzParse) and the LP's warm start from garbled
 # bases (FuzzSolveFromBasis: a certified optimum or the cold solve, never
 # a panic) and the LP pricing kernels against the column loop

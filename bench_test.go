@@ -185,7 +185,8 @@ func BenchmarkFig5(b *testing.B) {
 // algorithms are built from: one (pricing, heuristic) paired evaluation
 // on the figure-class market (LP relaxation warm-started from the
 // previous pricing's basis, one price away, as a child's starts from its
-// parent's + tree scoring + greedy).
+// parent's + compiled tree scoring + greedy; the tree is compiled once,
+// as the hunter is once per generation).
 func BenchmarkPairedEvaluation(b *testing.B) {
 	mk := benchMarket(b, figClass)
 	set := covering.TableISet()
@@ -193,7 +194,10 @@ func BenchmarkPairedEvaluation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree := gp.MustParse(set, "(% (* q d) c)")
+	prog, err := gp.Compile(set, gp.MustParse(set, "(% (* q d) c)"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	price := make([]float64, mk.Leaders())
 	bounds := mk.PriceBounds()
 	for j := range price {
@@ -208,7 +212,7 @@ func BenchmarkPairedEvaluation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ev.EvalTreeWith(p, tree); err != nil {
+		if _, _, err := ev.EvalProgramWith(p, prog); err != nil {
 			b.Fatal(err)
 		}
 		start = p.Rx.Basis

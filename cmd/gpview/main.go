@@ -114,8 +114,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gpview:", err)
 			os.Exit(1)
 		}
-		ts := covering.NewTreeScorer(set, in, rx)
-		res := ts.ApplyHeuristic(tree, true)
+		prog, err := gp.Compile(set, tree)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gpview:", err)
+			os.Exit(1)
+		}
+		scores := make([]float64, in.M())
+		covering.ScoreProgramInto(in, rx, gp.NewVM(), prog, scores)
+		res := in.GreedyByScore(scores, true)
 		if !res.Feasible {
 			fmt.Println("heuristic result: INFEASIBLE")
 			os.Exit(1)

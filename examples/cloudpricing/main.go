@@ -34,6 +34,25 @@ func main() {
 	// per unit cost — the LP-guided greedy expressed as a GP tree.
 	forecast := gp.MustParse(set, "(% (* q d) c)")
 
+	// eval prices the market, solves the customer's LP relaxation and
+	// scores the bundles with the compiled tree; the basket it returns
+	// is only valid until the next evaluation.
+	eval := func(price []float64, tree gp.Tree) (bcpop.Result, []bool) {
+		p, err := ev.Prepare(price)
+		if err != nil {
+			log.Fatal(err)
+		}
+		prog, err := gp.Compile(set, tree)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, basket, err := ev.EvalProgramWith(p, prog)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res, basket
+	}
+
 	bounds := mk.PriceBounds()
 	mean := 0.0
 	for _, up := range bounds.Up {
@@ -57,10 +76,7 @@ func main() {
 		for j := range price {
 			price[j] = st.price(j)
 		}
-		res, basket, err := ev.EvalTree(price, forecast)
-		if err != nil {
-			log.Fatal(err)
-		}
+		res, basket := eval(price, forecast)
 		bought := 0
 		for j := 0; j < mk.Leaders(); j++ {
 			if basket[j] {
@@ -82,10 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, basket, err := ev.EvalTree(res.Best.Price, res.Best.Tree)
-	if err != nil {
-		log.Fatal(err)
-	}
+	out, basket := eval(res.Best.Price, res.Best.Tree)
 	bought := 0
 	for j := 0; j < mk.Leaders(); j++ {
 		if basket[j] {
@@ -100,10 +113,7 @@ func main() {
 	// forecast and watch the revenue inflate — the over-estimation
 	// effect of Eq. 2/3 that makes COBRA's Table IV numbers misleading.
 	bad := gp.MustParse(set, "(- b b)") // all-zero scores: index-order greedy
-	outBad, _, err := ev.EvalTree(res.Best.Price, bad)
-	if err != nil {
-		log.Fatal(err)
-	}
+	outBad, _ := eval(res.Best.Price, bad)
 	fmt.Printf("\nsame pricing, bad forecast:  revenue %.0f at %.1f%% gap (inflated)\n",
 		outBad.Revenue, outBad.GapPct)
 	fmt.Printf("same pricing, good forecast: revenue %.0f at %.1f%% gap (realistic)\n",

@@ -38,13 +38,19 @@ func load(cl orlib.Class, indices []int) []instanceData {
 	return out
 }
 
-// meanGap applies the tree-driven greedy to every instance and averages
-// the %-gap to the LP bound.
+// meanGap compiles the tree, applies the tree-driven greedy to every
+// instance and averages the %-gap to the LP bound.
 func meanGap(set *gp.Set, tree gp.Tree, data []instanceData) float64 {
+	prog, err := gp.Compile(set, tree)
+	if err != nil {
+		log.Fatal(err)
+	}
+	vm := gp.NewVM()
 	total := 0.0
 	for _, d := range data {
-		ts := covering.NewTreeScorer(set, d.in, d.rx)
-		res := ts.ApplyHeuristic(tree, true)
+		scores := make([]float64, d.in.M())
+		covering.ScoreProgramInto(d.in, d.rx, vm, prog, scores)
+		res := d.in.GreedyByScore(scores, true)
 		if !res.Feasible {
 			return 1e9
 		}

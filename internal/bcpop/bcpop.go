@@ -29,7 +29,6 @@ import (
 	"carbon/internal/covering"
 	"carbon/internal/ga"
 	"carbon/internal/gp"
-	"carbon/internal/lp"
 	"carbon/internal/orlib"
 	"carbon/internal/rng"
 	"carbon/internal/telemetry"
@@ -283,7 +282,7 @@ type EvalMetrics struct {
 	CacheMisses *telemetry.Counter   // Prepared contexts built (one real solve each)
 	Elims       *telemetry.Counter   // redundancy-elimination passes run
 	Infeasible  *telemetry.Counter   // follower answers that failed to cover
-	EvalTime    *telemetry.Timer     // latency of one paired evaluation; the greedy only on the compiled paths (EvalScoresWith, EvalProgramWith)
+	EvalTime    *telemetry.Timer     // latency of one paired evaluation; for a GP heuristic, the greedy only (scoring is not timed)
 	EvalLatency *telemetry.Histogram // same latency, µs buckets
 	GapPct      *telemetry.Histogram // %-gap distribution of feasible answers
 	Faults      *telemetry.Counter   // evaluations quarantined after an LP/heuristic failure
@@ -333,7 +332,6 @@ func (m *EvalMetrics) observe(t0 time.Time, out Result) {
 type Evaluator struct {
 	mk      *Market
 	relaxer *covering.Relaxer
-	set     *gp.Set
 	costs   []float64
 	scores  []float64
 
@@ -357,11 +355,10 @@ type Evaluator struct {
 	Metrics *EvalMetrics
 
 	// EvalFault, when non-nil, is consulted at the start of every
-	// cached paired evaluation (EvalTreeWith, EvalScoresWith,
-	// EvalProgramWith); a non-nil return aborts
-	// that evaluation. It models heuristic-side failures the same way
-	// the relaxer's fault hook models LP failures — fault injection
-	// only, nil in production.
+	// tree-driven paired evaluation (EvalScoresWith, EvalProgramWith);
+	// a non-nil return aborts that evaluation. It models heuristic-side
+	// failures the same way the relaxer's fault hook models LP failures
+	// — fault injection only, nil in production.
 	EvalFault func() error
 }
 
@@ -386,7 +383,6 @@ func NewEvaluator(mk *Market, set *gp.Set) (*Evaluator, error) {
 	return &Evaluator{
 		mk:        mk,
 		relaxer:   relaxer,
-		set:       set,
 		costs:     make([]float64, mk.template.M()),
 		scores:    make([]float64, mk.template.M()),
 		vm:        gp.NewVM(),
@@ -402,61 +398,6 @@ func (ev *Evaluator) Market() *Market { return ev.mk }
 // non-nil return fails that solve without disturbing solver state.
 // Fault injection only; never set in production.
 func (ev *Evaluator) SetLPFault(h func() error) { ev.relaxer.SetFault(h) }
-
-// Relax computes the LP relaxation of the induced instance for a pricing
-// decision, solved cold. The returned Relaxation owns its slices — the
-// solver allocates a fresh solution per solve — so later Relax calls
-// never overwrite it.
-func (ev *Evaluator) Relax(price []float64) (*covering.Relaxation, error) {
-	return ev.relaxFrom(price, nil)
-}
-
-// relaxFrom is Relax starting from the basis start (nil = cold).
-func (ev *Evaluator) relaxFrom(price []float64, start *lp.Basis) (*covering.Relaxation, error) {
-	if _, err := ev.mk.Costs(price, ev.costs); err != nil {
-		return nil, err
-	}
-	rx, err := ev.relaxer.RelaxFrom(ev.costs, start)
-	if err != nil {
-		return nil, err
-	}
-	if m := ev.Metrics; m != nil {
-		m.LPSolves.Inc()
-		m.LPPivots.Add(int64(rx.Pivots))
-	}
-	return rx, nil
-}
-
-// EvalTree pairs a pricing decision with a generated heuristic: it
-// relaxes the induced instance, scores items with the tree, runs the
-// greedy and reports the paired Result plus the follower basket.
-func (ev *Evaluator) EvalTree(price []float64, tree gp.Tree) (Result, []bool, error) {
-	var t0 time.Time
-	if ev.Metrics != nil {
-		t0 = time.Now()
-	}
-	rx, err := ev.Relax(price)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	work, err := ev.mk.template.WithCosts(ev.costs)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	ts := covering.NewTreeScorer(ev.set, work, rx)
-	ts.Score(tree, ev.scores)
-	res := work.GreedyByScore(ev.scores, ev.Eliminate)
-	ev.Evals++
-	out := ev.result(price, rx, res)
-	if m := ev.Metrics; m != nil {
-		m.TreeEvals.Inc()
-		if ev.Eliminate {
-			m.Elims.Inc()
-		}
-		m.observe(t0, out)
-	}
-	return out, res.X, nil
-}
 
 // EvalGRASPWith pairs a prepared pricing context with a GRASP answer:
 // `starts` randomized adaptive constructions (plus local search) on the

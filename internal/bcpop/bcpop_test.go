@@ -26,6 +26,27 @@ func testMarket(t testing.TB, n, m, l int) *Market {
 	return mk
 }
 
+// evalTree pairs a pricing decision with a heuristic the way the
+// engine does: Prepare solves the relaxation, gp.Compile lowers the
+// tree and EvalProgramWith scores and runs the greedy. The basket is
+// copied out of evaluator scratch.
+func evalTree(t testing.TB, ev *Evaluator, set *gp.Set, price []float64, tree gp.Tree) (Result, []bool) {
+	t.Helper()
+	p, err := ev.Prepare(price)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := gp.Compile(set, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, basket, err := ev.EvalProgramWith(p, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, slices.Clone(basket)
+}
+
 func TestNewMarketValidation(t *testing.T) {
 	in, err := orlib.GenerateCovering(orlib.Class{N: 20, M: 3}, 0)
 	if err != nil {
@@ -151,10 +172,7 @@ func TestEvalTree(t *testing.T) {
 	r := rng.New(1)
 	price := mk.PriceBounds().RandomVector(r)
 	tree := gp.MustParse(set, "(% (* q d) c)")
-	res, basket, err := ev.EvalTree(price, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, basket := evalTree(t, ev, set, price, tree)
 	if !res.Feasible {
 		t.Fatal("dual-guided heuristic infeasible on feasible market")
 	}
@@ -290,14 +308,8 @@ func TestCheaperLeaderEarnsMoreRevenueOnAverage(t *testing.T) {
 		cheap[j] = b.Up[j] * 0.25
 		expensive[j] = b.Up[j] * 0.999
 	}
-	rc, basketCheap, err := ev.EvalTree(cheap, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, basketExp, err := ev.EvalTree(expensive, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, basketCheap := evalTree(t, ev, set, cheap, tree)
+	_, basketExp := evalTree(t, ev, set, expensive, tree)
 	nCheap, nExp := 0, 0
 	for j := 0; j < 6; j++ {
 		if basketCheap[j] {
@@ -310,8 +322,6 @@ func TestCheaperLeaderEarnsMoreRevenueOnAverage(t *testing.T) {
 	if nCheap < nExp {
 		t.Fatalf("cheap leader sold %d bundles, expensive sold %d", nCheap, nExp)
 	}
-	_ = rc
-	_ = re
 }
 
 func TestGapDependsOnHeuristicNotPrice(t *testing.T) {
@@ -328,34 +338,12 @@ func TestGapDependsOnHeuristicNotPrice(t *testing.T) {
 	r := rng.New(3)
 	for trial := 0; trial < 10; trial++ {
 		price := mk.PriceBounds().RandomVector(r)
-		res, _, err := ev.EvalTree(price, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := evalTree(t, ev, set, price, tree)
 		if !res.Feasible {
 			t.Fatal("infeasible")
 		}
 		if res.GapPct > 100 {
 			t.Fatalf("dual-guided gap blew up: %v%%", res.GapPct)
-		}
-	}
-}
-
-func BenchmarkEvalTree500x30(b *testing.B) {
-	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(4)
-	tree := set.Ramped(r, 2, 5)
-	price := mk.PriceBounds().RandomVector(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ev.EvalTree(price, tree); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // pairs every predator with every sampled prey therefore needs only
 // |distinct prey| LP solves, not LLPopSize×|sample|. Prepare performs
 // that one solve and freezes the result into an immutable Prepared
-// context; EvalTreeWith evaluates any number of heuristics (and
-// EvalSelectionWith any number of raw baskets) against it without
-// touching the solver; Cache deduplicates bit-identical price
+// context; EvalProgramWith and EvalScoresWith evaluate any number of
+// heuristics (and EvalSelectionWith any number of raw baskets) against
+// it without touching the solver; Cache deduplicates bit-identical price
 // vectors (elitism and GP reproduction copy genotypes verbatim) so a
 // whole evaluation wave shares one solve per distinct genotype.
 package bcpop
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"carbon/internal/covering"
-	"carbon/internal/gp"
 	"carbon/internal/lp"
 )
 
@@ -78,7 +77,10 @@ func (ev *Evaluator) Prepare(price []float64) (*Prepared, error) {
 // Each PrepareFrom is one real LP solve: it increments Metrics.LPSolves
 // and Metrics.CacheMisses and adds its pivots to Metrics.LPPivots.
 func (ev *Evaluator) PrepareFrom(price []float64, start *lp.Basis) (*Prepared, error) {
-	rx, err := ev.relaxFrom(price, start)
+	if _, err := ev.mk.Costs(price, ev.costs); err != nil {
+		return nil, err
+	}
+	rx, err := ev.relaxer.RelaxFrom(ev.costs, start)
 	if err != nil {
 		return nil, err
 	}
@@ -88,6 +90,8 @@ func (ev *Evaluator) PrepareFrom(price []float64, start *lp.Basis) (*Prepared, e
 	}
 	p.Rx = rx
 	if m := ev.Metrics; m != nil {
+		m.LPSolves.Inc()
+		m.LPPivots.Add(int64(rx.Pivots))
 		m.CacheMisses.Inc()
 	}
 	return p, nil
@@ -124,42 +128,6 @@ func (ev *Evaluator) EvalSelectionWith(p *Prepared, x []bool) (Result, []bool, e
 	out := ev.result(p.Price, p.Rx, res)
 	if m := ev.Metrics; m != nil {
 		m.SelEvals.Inc()
-		m.observe(t0, out)
-	}
-	return out, res.X, nil
-}
-
-// EvalTreeWith pairs a prepared pricing context with a generated
-// heuristic: it scores items with the tree against the cached
-// relaxation, runs the greedy and reports the paired Result plus the
-// follower basket. No LP is solved — the relaxation was computed once
-// by Prepare — so the call increments Metrics.CacheHits instead of
-// Metrics.LPSolves. Semantically it is EvalTree(p.Price, tree) minus
-// the redundant solve: both charge one LL evaluation (Evals).
-func (ev *Evaluator) EvalTreeWith(p *Prepared, tree gp.Tree) (Result, []bool, error) {
-	if p == nil {
-		return Result{}, nil, ErrNotPrepared
-	}
-	if ev.EvalFault != nil {
-		if err := ev.EvalFault(); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	var t0 time.Time
-	if ev.Metrics != nil {
-		t0 = time.Now()
-	}
-	ts := covering.NewTreeScorer(ev.set, p.In, p.Rx)
-	ts.Score(tree, ev.scores)
-	res := p.In.GreedyByScore(ev.scores, ev.Eliminate)
-	ev.Evals++
-	out := ev.result(p.Price, p.Rx, res)
-	if m := ev.Metrics; m != nil {
-		m.TreeEvals.Inc()
-		m.CacheHits.Inc()
-		if ev.Eliminate {
-			m.Elims.Inc()
-		}
 		m.observe(t0, out)
 	}
 	return out, res.X, nil

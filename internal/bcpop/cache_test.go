@@ -32,45 +32,6 @@ func TestKeyExactBitsIdentity(t *testing.T) {
 	}
 }
 
-// TestEvalTreeWithMatchesEvalTree pins the semantic contract: a cached
-// evaluation is EvalTree minus the redundant solve — bit-identical
-// Result and basket for the same (price, tree) pairing.
-func TestEvalTreeWithMatchesEvalTree(t *testing.T) {
-	mk := testMarket(t, 30, 5, 3)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(4)
-	for trial := 0; trial < 5; trial++ {
-		price := mk.PriceBounds().RandomVector(r)
-		tree := set.Ramped(r, 1, 3)
-
-		// Both solve cold, so the relaxations match bit for bit.
-		direct, basketD, err := ev.EvalTree(price, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := ev.Prepare(price)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, basketC, err := ev.EvalTreeWith(p, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if direct != cached {
-			t.Fatalf("trial %d: cached evaluation diverged: %+v vs %+v", trial, cached, direct)
-		}
-		for j := range basketD {
-			if basketD[j] != basketC[j] {
-				t.Fatalf("trial %d: baskets differ at item %d", trial, j)
-			}
-		}
-	}
-}
-
 // TestPreparedSurvivesLaterSolves: a Prepared context must stay valid
 // after the producing evaluator solves other instances — it owns its
 // costs, duals and x̄, aliasing no evaluator scratch. Prepare keeps the
@@ -86,30 +47,35 @@ func TestPreparedSurvivesLaterSolves(t *testing.T) {
 	r := rng.New(9)
 	priceA := mk.PriceBounds().RandomVector(r)
 	priceB := mk.PriceBounds().RandomVector(r)
-	tree := set.Ramped(r, 2, 3)
+	prog, err := gp.Compile(set, set.Ramped(r, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pA, err := ev.Prepare(priceA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := ev.EvalTreeWith(pA, tree)
+	before, _, err := ev.EvalProgramWith(pA, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rx := *pA.Rx
 	rx.Dual = append([]float64(nil), pA.Rx.Dual...)
 	rx.XBar = append([]float64(nil), pA.Rx.XBar...)
-	// Hammer the evaluator's scratch with other work.
-	if _, err := ev.Relax(priceB); err != nil {
-		t.Fatal(err)
-	}
+	// Hammer the evaluator's scratch with other work: a cold solve, a
+	// solve warm-started from pA's own basis, and an evaluation.
 	if _, err := ev.Prepare(priceB); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ev.EvalTree(priceB, tree); err != nil {
+	pB, err := ev.PrepareFrom(priceB, pA.Rx.Basis)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := ev.EvalTreeWith(pA, tree)
+	if _, _, err := ev.EvalProgramWith(pB, prog); err != nil {
+		t.Fatal(err)
+	}
+	after, _, err := ev.EvalProgramWith(pA, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +95,9 @@ func TestPreparedSurvivesLaterSolves(t *testing.T) {
 	}
 }
 
-// TestPreparedConcurrentReaders: one Prepared context, many workers —
-// the -race gate for the engine's fan-out of cached contexts across
-// evaluation workers.
+// TestPreparedConcurrentReaders: one Prepared context and one compiled
+// program, many workers — the -race gate for the engine's fan-out of
+// cached contexts and the shared hunter across evaluation workers.
 func TestPreparedConcurrentReaders(t *testing.T) {
 	mk := testMarket(t, 30, 5, 3)
 	set := covering.TableISet()
@@ -140,12 +106,15 @@ func TestPreparedConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	price := mk.PriceBounds().RandomVector(rng.New(2))
-	tree := set.Ramped(rng.New(3), 1, 3)
+	prog, err := gp.Compile(set, set.Ramped(rng.New(3), 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := ev0.Prepare(price)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := ev0.EvalTreeWith(p, tree)
+	ref, _, err := ev0.EvalProgramWith(p, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +132,7 @@ func TestPreparedConcurrentReaders(t *testing.T) {
 		go func(w int, ev *Evaluator) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				out, _, err := ev.EvalTreeWith(p, tree)
+				out, _, err := ev.EvalProgramWith(p, prog)
 				if err != nil {
 					errs[w] = err
 					return
@@ -221,7 +190,7 @@ func TestCacheSlotLifecycle(t *testing.T) {
 
 // TestCacheCounters pins the metrics semantics of the cache layer:
 // every Prepare is one real solve (lp_solves and cache_misses), every
-// EvalTreeWith is one served evaluation (cache_hits, tree_evals, no
+// EvalProgramWith is one served evaluation (cache_hits, tree_evals, no
 // solve).
 func TestCacheCounters(t *testing.T) {
 	mk := testMarket(t, 30, 5, 3)
@@ -234,14 +203,17 @@ func TestCacheCounters(t *testing.T) {
 	ev.Metrics = NewEvalMetrics(reg)
 	r := rng.New(5)
 	price := mk.PriceBounds().RandomVector(r)
-	tree := set.Ramped(r, 1, 3)
+	prog, err := gp.Compile(set, set.Ramped(r, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	p, err := ev.Prepare(price)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := ev.EvalTreeWith(p, tree); err != nil {
+		if _, _, err := ev.EvalProgramWith(p, prog); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,59 +232,6 @@ func TestCacheCounters(t *testing.T) {
 	}
 	if ev.Evals != 3 {
 		t.Fatalf("Evals = %d, want 3 (Prepare is not an LL evaluation)", ev.Evals)
-	}
-}
-
-var benchSink Result
-
-// BenchmarkEvalTreeResolve is the pre-cache hot path: every paired
-// evaluation re-solves the (warm) LP relaxation of its induced
-// instance.
-func BenchmarkEvalTreeResolve(b *testing.B) {
-	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	price := mk.PriceBounds().RandomVector(r)
-	tree := set.Ramped(r, 2, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := ev.EvalTree(price, tree)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = out
-	}
-}
-
-// BenchmarkEvalTreeCached is the post-cache hot path: the relaxation is
-// prepared once and every evaluation reuses it.
-func BenchmarkEvalTreeCached(b *testing.B) {
-	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(1)
-	price := mk.PriceBounds().RandomVector(r)
-	tree := set.Ramped(r, 2, 4)
-	p, err := ev.Prepare(price)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := ev.EvalTreeWith(p, tree)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = out
 	}
 }
 
@@ -379,8 +298,9 @@ func BenchmarkRelaxFromParent(b *testing.B) {
 	})
 }
 
-// benchRelaxFrom times only the solve from the start basis and price
-// that setup returns for iteration i.
+// benchRelaxFrom times only the PrepareFrom (the solve, plus copying
+// the induced costs) from the start basis and price that setup returns
+// for iteration i.
 func benchRelaxFrom(b *testing.B, setup func(ev *Evaluator, prices [][]float64, i int) (*lp.Basis, []float64)) {
 	mk := testMarket(b, 500, 30, 50)
 	ev, err := NewEvaluator(mk, covering.TableISet())
@@ -394,11 +314,11 @@ func benchRelaxFrom(b *testing.B, setup func(ev *Evaluator, prices [][]float64, 
 		b.StopTimer()
 		start, price := setup(ev, prices, i)
 		b.StartTimer()
-		rx, err := ev.relaxFrom(price, start)
+		p, err := ev.PrepareFrom(price, start)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pivots += rx.Pivots
+		pivots += p.Rx.Pivots
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 }
@@ -448,9 +368,6 @@ func TestUnpreparedSlotTypedError(t *testing.T) {
 
 	// Every evaluation entry point must reject the nil context instead
 	// of dereferencing it.
-	if _, _, err := ev.EvalTreeWith(nil, tree); !errors.Is(err, ErrNotPrepared) {
-		t.Fatalf("EvalTreeWith(nil): err=%v, want ErrNotPrepared", err)
-	}
 	prog, err := gp.Compile(set, tree)
 	if err != nil {
 		t.Fatal(err)

@@ -29,14 +29,8 @@ func TestEvaluatorMetrics(t *testing.T) {
 	price := mk.PriceBounds().RandomVector(r)
 	tree := set.Ramped(rng.New(2), 1, 3)
 
-	outPlain, _, err := plain.EvalTree(price, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outMetered, _, err := metered.EvalTree(price, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outPlain, _ := evalTree(t, plain, set, price, tree)
+	outMetered, _ := evalTree(t, metered, set, price, tree)
 	if outPlain != outMetered {
 		t.Fatalf("metrics changed the evaluation: %+v vs %+v", outPlain, outMetered)
 	}
@@ -65,13 +59,13 @@ func TestEvaluatorMetrics(t *testing.T) {
 		t.Fatalf("selection_evals = %d, want 1", got)
 	}
 	if got := reg.Counter("bcpop.lp_solves").Load(); got != 3 {
-		t.Fatalf("lp_solves = %d, want 3 (one per paired evaluation)", got)
+		t.Fatalf("lp_solves = %d, want 3 (one Prepare per paired evaluation)", got)
 	}
 	if got := reg.Counter("bcpop.lp_pivots").Load(); got < 3 {
 		t.Fatalf("lp_pivots = %d, want at least one per cold solve", got)
 	}
 	if got := reg.Counter("bcpop.eliminations").Load(); got != 1 {
-		t.Fatalf("eliminations = %d, want 1 (EvalTree with Eliminate on)", got)
+		t.Fatalf("eliminations = %d, want 1 (the tree evaluation, Eliminate on)", got)
 	}
 	if got := reg.Timer("bcpop.eval_time").Count(); got != 3 {
 		t.Fatalf("eval_time observations = %d, want 3 (GRASP is one timed call)", got)

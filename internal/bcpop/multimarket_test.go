@@ -163,10 +163,7 @@ func TestMultiMarketEndToEndEvaluation(t *testing.T) {
 	tree := gp.MustParse(set, "(% (* q d) c)")
 	r := rng.New(1)
 	price := mk.PriceBounds().RandomVector(r)
-	res, basket, err := ev.EvalTree(price, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, basket := evalTree(t, ev, set, price, tree)
 	if !res.Feasible {
 		t.Fatal("infeasible on feasible multi-market")
 	}

@@ -10,14 +10,17 @@ import (
 	"carbon/internal/telemetry"
 )
 
-// The compiled path must reproduce the interpreted path exactly:
-// identical Result bits and identical baskets, across many random
-// trees and pricing decisions.
-func TestEvalProgramWithMatchesEvalTreeWith(t *testing.T) {
+// The compiled path must reproduce the reference exactly — the tree
+// walker's scores (covering.TreeScorer) and the greedy on the same
+// prepared context: identical Result bits and identical baskets, across
+// many random trees and pricing decisions. The context comes from
+// another evaluator, so this also pins that a Prepared context pairs
+// the same on any evaluator.
+func TestEvalProgramWithMatchesTreeScorer(t *testing.T) {
 	mk := testMarket(t, 40, 25, 5)
 	set := covering.TableISet()
 	set.ConstProb, set.ConstMin, set.ConstMax = 0.25, -3, 3
-	evTree, err := NewEvaluator(mk, set)
+	evPrep, err := NewEvaluator(mk, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +29,17 @@ func TestEvalProgramWithMatchesEvalTreeWith(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(99)
+	scores := make([]float64, mk.Bundles())
 	for trial := 0; trial < 30; trial++ {
 		price := mk.PriceBounds().RandomVector(r)
-		p, err := evTree.Prepare(price)
+		p, err := evPrep.Prepare(price)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tree := set.Ramped(r, 1, 5)
-		want, wantX, err := evTree.EvalTreeWith(p, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
+		covering.NewTreeScorer(set, p.In, p.Rx).Score(tree, scores)
+		ref := p.In.GreedyByScore(scores, true)
+		want, wantX := evPrep.result(price, p.Rx, ref), ref.X
 		prog, err := gp.Compile(set, tree)
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v", trial, err)
@@ -50,7 +53,7 @@ func TestEvalProgramWithMatchesEvalTreeWith(t *testing.T) {
 			math.Float64bits(want.LB) != math.Float64bits(got.LB) ||
 			math.Float64bits(want.GapPct) != math.Float64bits(got.GapPct) ||
 			want.Feasible != got.Feasible {
-			t.Fatalf("trial %d (%s): interpreted %+v, compiled %+v",
+			t.Fatalf("trial %d (%s): reference %+v, compiled %+v",
 				trial, tree.String(set), want, got)
 		}
 		if len(wantX) != len(gotX) {
@@ -64,8 +67,8 @@ func TestEvalProgramWithMatchesEvalTreeWith(t *testing.T) {
 	}
 }
 
-// EvalProgramWith must charge the same accounting as EvalTreeWith: one
-// LL evaluation, one tree_evals, one cache_hits, no LP solve.
+// Each EvalProgramWith charges one LL evaluation, one tree_evals, one
+// cache_hits and no LP solve.
 func TestEvalProgramWithMetricsParity(t *testing.T) {
 	mk := testMarket(t, 30, 20, 4)
 	set := covering.TableISet()
@@ -172,8 +175,7 @@ func TestEvalProgramWithZeroAlloc(t *testing.T) {
 
 // BenchmarkEvalProgram500x30 is the compiled batched hot path at paper
 // scale: one Prepare + one Compile, then repeated cached paired
-// evaluations. Compare against BenchmarkEvalTree500x30 (uncached
-// interpreter) and BenchmarkEvalTreeWith500x30 (cached interpreter).
+// evaluations.
 func BenchmarkEvalProgram500x30(b *testing.B) {
 	mk := testMarket(b, 500, 30, 50)
 	set := covering.TableISet()
@@ -196,32 +198,6 @@ func BenchmarkEvalProgram500x30(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ev.EvalProgramWith(p, prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEvalTreeWith500x30 is the same workload on the interpreted
-// cached path, isolating the compiler's contribution from the
-// relaxation cache's.
-func BenchmarkEvalTreeWith500x30(b *testing.B) {
-	mk := testMarket(b, 500, 30, 50)
-	set := covering.TableISet()
-	ev, err := NewEvaluator(mk, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(4)
-	tree := set.Ramped(r, 2, 5)
-	price := mk.PriceBounds().RandomVector(r)
-	p, err := ev.Prepare(price)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ev.EvalTreeWith(p, tree); err != nil {
 			b.Fatal(err)
 		}
 	}

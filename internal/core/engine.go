@@ -981,7 +981,13 @@ func (e *Engine) Result() (*Result, error) {
 			// (see TestResultMidRunDoesNotPerturbRun). Each solve
 			// starts from the prey's own start basis, so the
 			// measurement is a pure function of the current
-			// populations and repeated calls agree exactly.
+			// populations and repeated calls agree exactly. The tree
+			// is compiled into a program of its own, leaving the
+			// hunter alone for the same reason.
+			var prog gp.Program
+			if err := prog.Compile(e.set, be.Item); err != nil {
+				return nil, err
+			}
 			r := rng.New(e.cfg.Seed).Split()
 			sample := r.SampleDistinct(e.cfg.EffectiveSample(), len(e.prey))
 			total := 0.0
@@ -990,7 +996,7 @@ func (e *Engine) Result() (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				out, _, err := e.evs[0].EvalTreeWith(p, be.Item)
+				out, _, err := e.evs[0].EvalProgramWith(p, &prog)
 				if err != nil {
 					return nil, err
 				}

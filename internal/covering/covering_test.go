@@ -405,6 +405,14 @@ func TestTableISet(t *testing.T) {
 	}
 }
 
+// applyTree scores the items with the reference tree walker and runs
+// the greedy with redundancy elimination.
+func applyTree(set *gp.Set, in *Instance, rx *Relaxation, tree gp.Tree) GreedyResult {
+	scores := make([]float64, in.M())
+	NewTreeScorer(set, in, rx).Score(tree, scores)
+	return in.GreedyByScore(scores, true)
+}
+
 func TestTreeScorerDualGuidedTreeBeatsAntiGreedy(t *testing.T) {
 	// The dual-weighted coverage tree (* q d) should produce far better
 	// covers than an adversarial tree (- b b) (all-zero scores: index
@@ -420,9 +428,8 @@ func TestTreeScorerDualGuidedTreeBeatsAntiGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := NewTreeScorer(set, in, rx)
-		rd := ts.ApplyHeuristic(dualTree, true)
-		rf := ts.ApplyHeuristic(flatTree, true)
+		rd := applyTree(set, in, rx, dualTree)
+		rf := applyTree(set, in, rx, flatTree)
 		if !rd.Feasible || !rf.Feasible {
 			t.Fatal("heuristic infeasible on feasible instance")
 		}
@@ -446,9 +453,7 @@ func TestTreeScorerGapNonNegative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := NewTreeScorer(set, in, rx)
-		tree := set.Ramped(r, 1, 4)
-		res := ts.ApplyHeuristic(tree, true)
+		res := applyTree(set, in, rx, set.Ramped(r, 1, 4))
 		if !res.Feasible {
 			t.Fatal("infeasible")
 		}

@@ -30,11 +30,16 @@ func Example() {
 	fmt.Printf("LP bound %.0f, greedy cost %.0f, gap %.0f%%\n",
 		rx.LB, res.Cost, covering.Gap(res.Cost, rx.LB))
 
-	// The same greedy driven by a GP scoring tree over Table I.
+	// The same greedy driven by a GP scoring tree over Table I,
+	// compiled and run over the items.
 	set := covering.TableISet()
-	tree := gp.MustParse(set, "(% (* q d) c)")
-	ts := covering.NewTreeScorer(set, in, rx)
-	out := ts.ApplyHeuristic(tree, true)
+	prog, err := gp.Compile(set, gp.MustParse(set, "(% (* q d) c)"))
+	if err != nil {
+		panic(err)
+	}
+	scores := make([]float64, in.M())
+	covering.ScoreProgramInto(in, rx, gp.NewVM(), prog, scores)
+	out := in.GreedyByScore(scores, true)
 	fmt.Printf("tree-driven cost %.0f\n", out.Cost)
 	// Output:
 	// LP bound 3, greedy cost 3, gap 0%

@@ -225,11 +225,12 @@ func BenchmarkScoreProgram(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, target := range []int{6, 12, 67} {
-			prog, err := gp.Compile(set, treeNear(set, uint64(target), target))
+			tree := treeNear(set, uint64(target), target)
+			prog, err := gp.Compile(set, tree)
 			if err != nil {
 				b.Fatal(err)
 			}
-			name := fmt.Sprintf("n%d_m%d/nodes%d", shape.m, shape.n, prog.Size())
+			name := fmt.Sprintf("n%d_m%d/nodes%d", shape.m, shape.n, tree.Size())
 			b.Run(name, func(b *testing.B) {
 				vm := gp.NewVM()
 				scores := make([]float64, in.M())

@@ -30,25 +30,33 @@ func mustCompile(t *testing.T, s *Set, src string) (Tree, *Program) {
 	return tr, p
 }
 
-// evalOne runs p at lane width 1: every terminal is a one-lane vector
-// over env.
+// rowEval is what one AddRoots run leaves in a zeroed row: 0 +
+// Tree.Eval, which differs from Tree.Eval only in turning a -0 root
+// into +0.
+func rowEval(s *Set, tr Tree, env []float64) float64 {
+	return 0 + tr.Eval(s, env)
+}
+
+// evalOne runs p at lane width 1 into a zeroed row: every terminal is
+// a one-lane vector over env.
 func evalOne(vm *VM, p *Program, env []float64) float64 {
 	var buf [8]Term
 	terms := buf[:len(env)]
 	for i := range terms {
 		terms[i].V = env[i : i+1]
 	}
-	return vm.EvalLanes(p, terms, 1)[0]
+	var row [1]float64
+	vm.AddRoots(p.Forest(), terms, 1, row[:], 1)
+	return row[0]
 }
 
-// checkLanes runs p once over len(envs) lanes, lane i reading envs[i],
-// except that every terminal t with bcast[t] set is broadcast as the
-// scalar envs[0][t]. Each lane must return the bits the interpreter
-// returns on that lane's own environment.
-func checkLanes(t *testing.T, s *Set, tr Tree, p *Program, vm *VM, envs [][]float64, bcast []bool) {
-	t.Helper()
-	terms := make([]Term, len(s.Terms))
-	lanes := make([][]float64, len(envs))
+// laneTerms binds envs as lanes: terminal t is the vector of envs[i][t]
+// over lanes i or, when bcast[t] is set, the scalar envs[0][t]
+// broadcast to every lane. lanes are the environments the lanes then
+// read.
+func laneTerms(s *Set, envs [][]float64, bcast []bool) (terms []Term, lanes [][]float64) {
+	terms = make([]Term, len(s.Terms))
+	lanes = make([][]float64, len(envs))
 	for i, env := range envs {
 		lanes[i] = append([]float64(nil), env...)
 	}
@@ -65,12 +73,19 @@ func checkLanes(t *testing.T, s *Set, tr Tree, p *Program, vm *VM, envs [][]floa
 			terms[k].V[i] = env[k]
 		}
 	}
-	got := vm.EvalLanes(p, terms, len(envs))
-	if len(got) != len(envs) {
-		t.Fatalf("%s: %d lanes in, %d values out", tr.String(s), len(envs), len(got))
-	}
+	return terms, lanes
+}
+
+// checkLanes runs p once over len(envs) lanes bound by laneTerms into a
+// zeroed row. Each lane must hold the bits rowEval gives on that lane's
+// own environment.
+func checkLanes(t *testing.T, s *Set, tr Tree, p *Program, vm *VM, envs [][]float64, bcast []bool) {
+	t.Helper()
+	terms, lanes := laneTerms(s, envs, bcast)
+	got := make([]float64, len(envs))
+	vm.AddRoots(p.Forest(), terms, len(envs), got, len(envs))
 	for i, env := range lanes {
-		want := tr.Eval(s, env)
+		want := rowEval(s, tr, env)
 		if math.Float64bits(want) != math.Float64bits(got[i]) {
 			t.Fatalf("%s, lane %d of %d on %v (broadcast %v): interpreter %v (%x), VM %v (%x)",
 				tr.String(s), i, len(envs), env, bcast,
@@ -102,11 +117,8 @@ func TestCompiledMatchesInterpreterOnFixtures(t *testing.T) {
 	}
 	for _, src := range exprs {
 		tr, p := mustCompile(t, s, src)
-		if p.Size() != tr.Size() {
-			t.Errorf("%q: program size %d, tree size %d", src, p.Size(), tr.Size())
-		}
 		for _, env := range envs {
-			want := tr.Eval(s, env)
+			want := rowEval(s, tr, env)
 			got := evalOne(vm, p, env)
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Errorf("%q on %v: interpreter %v (%x), VM %v (%x)",
@@ -135,7 +147,7 @@ func TestCompileCustomOpsFallBackToCalls(t *testing.T) {
 	vm := NewVM()
 	envs := [][]float64{{3, 4}, {-1, 1e154}, {math.NaN(), 2}}
 	for _, env := range envs {
-		want := tr.Eval(s, env)
+		want := rowEval(s, tr, env)
 		got := evalOne(vm, p, env)
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("env %v: interpreter %v, VM %v", env, want, got)
@@ -156,7 +168,7 @@ func TestProgramRecompileReusesStorage(t *testing.T) {
 		if err := p.Compile(s, tr); err != nil {
 			t.Fatalf("recompile %d: %v", i, err)
 		}
-		want := tr.Eval(s, env)
+		want := rowEval(s, tr, env)
 		got := evalOne(vm, &p, env)
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("recompile %d: interpreter %v, VM %v", i, want, got)
@@ -200,7 +212,7 @@ func TestOversizeTreeRejected(t *testing.T) {
 		t.Fatalf("Compile rejected a legal tree: %v", err)
 	}
 	env := []float64{1, 2, 3, 4, 5}
-	want := ok.Eval(s, env)
+	want := rowEval(s, ok, env)
 	if got := evalOne(NewVM(), p, env); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("deep tree: interpreter %v, VM %v", want, got)
 	}
@@ -244,7 +256,7 @@ func TestVMEvalZeroAlloc(t *testing.T) {
 	env := []float64{1, 2, 3, 4, 5}
 	evalOne(vm, p, env) // grow the slots once
 	if allocs := testing.AllocsPerRun(200, func() { evalOne(vm, p, env) }); allocs != 0 {
-		t.Fatalf("EvalLanes at width 1 allocates %v per call, want 0", allocs)
+		t.Fatalf("AddRoots at width 1 allocates %v per call, want 0", allocs)
 	}
 	const width = 128
 	vec := make([]float64, width)
@@ -252,16 +264,18 @@ func TestVMEvalZeroAlloc(t *testing.T) {
 		vec[i] = float64(i) - 40.5
 	}
 	terms := []Term{{V: vec}, {V: vec}, {S: 3}, {S: -4}, {V: vec}}
-	vm.EvalLanes(p, terms, width)
-	if allocs := testing.AllocsPerRun(200, func() { vm.EvalLanes(p, terms, width) }); allocs != 0 {
-		t.Fatalf("EvalLanes at width %d allocates %v per call, want 0", width, allocs)
+	row := make([]float64, width)
+	run := func() { vm.AddRoots(p.Forest(), terms, width, row, width) }
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("AddRoots at width %d allocates %v per call, want 0", width, allocs)
 	}
 }
 
-// FuzzCompiledEval is the differential fuzz of the VM contract: for
-// any valid tree and any environments — including NaN, ±Inf and
-// protected-division edge cases — every lane of the VM must return the
-// bit-identical float64 the interpreter returns on that lane's
+// FuzzCompiledEval is the differential fuzz of the runner on one
+// compiled tree: for any valid tree and any environments — including
+// NaN, ±Inf and protected-division edge cases — every lane of a zeroed
+// row must hold the bits 0 + Tree.Eval gives on that lane's
 // environment. The lanes differ on purpose: NaN in one lane only, ±Inf,
 // denominators straddling protEps, signed zeros, and the fuzzed values
 // in both orders, so a NaN→0 fix-up or any other value leaking across

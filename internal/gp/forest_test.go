@@ -27,40 +27,19 @@ func forestEnvs(a, b, c, d, e float64, nanAt int) [][]float64 {
 }
 
 // checkForest compiles trees into one forest and runs it once over
-// len(envs) lanes, broadcasting every terminal t with bcast[t] set as
-// the scalar envs[0][t]. Every tree that passes Check must read back,
-// from its row, the bits Tree.Eval gives on each lane's environment;
-// every tree that fails Check must report Check's error. It returns
-// the forest for further assertions.
+// len(envs) lanes bound by laneTerms, into zeroed rows. Every tree that
+// passes Check must read back, from its row, the bits rowEval gives on
+// each lane's environment; every tree that fails Check must report
+// Check's error. It returns the forest for further assertions.
 func checkForest(t *testing.T, s *Set, trees []Tree, envs [][]float64, bcast []bool) *Forest {
 	t.Helper()
 	var f Forest
 	f.Compile(s, trees)
-	terms := make([]Term, len(s.Terms))
-	lanes := make([][]float64, len(envs))
-	for i, env := range envs {
-		lanes[i] = append([]float64(nil), env...)
-	}
-	for k := range terms {
-		if bcast[k] {
-			terms[k].S = envs[0][k]
-			for _, env := range lanes {
-				env[k] = envs[0][k]
-			}
-			continue
-		}
-		terms[k].V = make([]float64, len(envs))
-		for i, env := range lanes {
-			terms[k].V[i] = env[k]
-		}
-	}
+	terms, lanes := laneTerms(s, envs, bcast)
 	n := len(envs)
 	stride := n + 3 // rows need not be packed
 	out := make([]float64, f.Rows()*stride)
-	for i := range out {
-		out[i] = math.NaN() // a storing run must overwrite these
-	}
-	NewVM().run(&f, terms, n, out, stride, false)
+	NewVM().AddRoots(&f, terms, n, out, stride)
 	for ti, tr := range trees {
 		row, err := f.Row(ti)
 		if cerr := tr.Check(s); cerr != nil {
@@ -73,7 +52,7 @@ func checkForest(t *testing.T, s *Set, trees []Tree, envs [][]float64, bcast []b
 			t.Fatalf("tree %d (%s): %v", ti, tr.String(s), err)
 		}
 		for l, env := range lanes {
-			want := tr.Eval(s, env)
+			want := rowEval(s, tr, env)
 			if got := out[row*stride+l]; math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("tree %d %s, lane %d on %v (broadcast %v): interpreter %v (%x), forest %v (%x)",
 					ti, tr.String(s), l, env, bcast, want, math.Float64bits(want), got, math.Float64bits(got))
@@ -97,8 +76,8 @@ func joinTree(op int, a, b Tree) Tree {
 // FuzzForestEval is the differential fuzz of the forest runner: 2–5
 // trees drawn from the seed — fresh trees, duplicates of earlier ones,
 // subtrees of earlier ones and trees that contain an earlier one — are
-// compiled into one forest, and every tree's row must hold, lane for
-// lane, the bits Tree.Eval returns. Sharing makes one tree's root
+// compiled into one forest, and every tree's zeroed row must hold,
+// lane for lane, the bits 0 + Tree.Eval gives. Sharing makes one tree's root
 // another tree's interior node, so a NaN collapsed for the root's row
 // must not leak into its parent.
 func FuzzForestEval(f *testing.F) {
@@ -178,13 +157,7 @@ func TestForestRootIsInteriorNode(t *testing.T) {
 	}
 	// The scorer's form: the parent's row sums 0 over the NaN lanes.
 	acc := make([]float64, f.Rows()*len(envs))
-	terms := make([]Term, 5)
-	for k := range terms {
-		terms[k].V = make([]float64, len(envs))
-		for i, env := range envs {
-			terms[k].V[i] = env[k]
-		}
-	}
+	terms, _ := laneTerms(s, envs, make([]bool, 5))
 	vm := NewVM()
 	vm.AddRoots(f, terms, len(envs), acc, len(envs))
 	vm.AddRoots(f, terms, len(envs), acc, len(envs))
@@ -226,7 +199,7 @@ func TestForestCheckFailureIsPerTree(t *testing.T) {
 	if empty.Rows() != 0 || empty.OpNodes() != 0 {
 		t.Fatalf("all-bad forest has %d rows, %d op nodes", empty.Rows(), empty.OpNodes())
 	}
-	NewVM().run(&empty, make([]Term, 5), 4, nil, 4, true)
+	NewVM().AddRoots(&empty, make([]Term, 5), 4, nil, 4)
 }
 
 // Slots are reused once a node's last reader has run: a left-deep

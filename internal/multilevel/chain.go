@@ -195,8 +195,9 @@ type ChainOutcome struct {
 	Feasible bool
 }
 
-// ChainEvaluator runs full chain evaluations against one market.
-// Not safe for concurrent use.
+// ChainEvaluator runs full chain evaluations against one market. It
+// owns the customer scorer's compiled program, VM and greedy scratch,
+// so it is not safe for concurrent use.
 type ChainEvaluator struct {
 	cm        *ChainMarket
 	relaxer   *covering.Relaxer
@@ -204,6 +205,9 @@ type ChainEvaluator struct {
 	custSet   *gp.Set
 	costs     []float64
 	scores    []float64
+	prog      gp.Program
+	vm        *gp.VM
+	greedy    covering.GreedyScratch
 	// Evals counts bottom-level evaluations (the chain's unit of work).
 	Evals int
 }
@@ -221,6 +225,7 @@ func NewChainEvaluator(cm *ChainMarket) (*ChainEvaluator, error) {
 		custSet:   covering.TableISet(),
 		costs:     make([]float64, cm.template.M()),
 		scores:    make([]float64, cm.template.M()),
+		vm:        gp.NewVM(),
 	}, nil
 }
 
@@ -268,9 +273,11 @@ func (ce *ChainEvaluator) Eval(priceA []float64, policies []gp.Tree, cust gp.Tre
 	if err != nil {
 		return ChainOutcome{}, err
 	}
-	ts := covering.NewTreeScorer(ce.custSet, work, rx)
-	ts.Score(cust, ce.scores)
-	res := work.GreedyByScore(ce.scores, true)
+	if err := ce.prog.Compile(ce.custSet, cust); err != nil {
+		return ChainOutcome{}, err
+	}
+	covering.ScoreProgramInto(work, rx, ce.vm, &ce.prog, ce.scores)
+	res := work.GreedyByScoreInto(ce.scores, true, &ce.greedy)
 	ce.Evals++
 
 	out := ChainOutcome{
