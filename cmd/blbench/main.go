@@ -52,7 +52,7 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress progress lines")
 
 		trace       = flag.String("trace", "", "write a JSONL trace of every CARBON run to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, expvar and pprof on this address while the sweep runs")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON and Prometheus text), expvar and pprof on this address while the sweep runs")
 	)
 	flag.Parse()
 
@@ -80,7 +80,7 @@ func main() {
 	}
 
 	// Live introspection: a JSONL trace of every CARBON run (events are
-	// labeled carbon/<class>/run<i>) and an expvar+pprof endpoint with
+	// labeled carbon/<class>/run<i>) and a metrics+pprof endpoint with
 	// evaluator hot-path metrics aggregated over the whole sweep.
 	var traceObs *core.JSONLObserver
 	if *trace != "" {
@@ -95,7 +95,7 @@ func main() {
 		addr, stop, err := telemetry.Serve(*metricsAddr, map[string]*telemetry.Registry{"blbench": s.Metrics})
 		die(err)
 		defer stop()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /metrics/prometheus, /debug/vars, /debug/pprof)\n", addr)
 	}
 
 	if *taxo {

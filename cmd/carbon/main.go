@@ -11,7 +11,7 @@
 // Observability (all optional, none perturbs the seeded result):
 //
 //	-trace run.jsonl     write one JSON event per generation (see README)
-//	-metrics-addr :8080  serve /metrics, /debug/vars and /debug/pprof live
+//	-metrics-addr :8080  serve /metrics, /metrics/prometheus and /debug/* live
 //	-progress 2s         print a progress line to stderr every interval
 package main
 
@@ -55,7 +55,7 @@ func main() {
 		resume    = flag.Bool("resume", false, "resume from the checkpoint file")
 
 		trace       = flag.String("trace", "", "write a per-generation JSONL trace to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, expvar and pprof on this address (e.g. :8080)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON and Prometheus text), expvar and pprof on this address (e.g. :8080)")
 		progrEvery  = flag.Duration("progress", 0, "print a progress line to stderr every interval (0 = off)")
 	)
 	flag.Parse()
@@ -105,7 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /metrics/prometheus, /debug/vars, /debug/pprof)\n", addr)
 	}
 
 	fmt.Printf("CARBON on class n=%d m=%d (instance %d, L=%d leader bundles, %d customer(s))\n",

@@ -14,8 +14,9 @@
 // next to its spool entry — submit-to-solve latency attribution that
 // survives crashes and stitches across restarts. A traceparent request
 // header on POST /v1/jobs joins the job to the caller's trace; analyze
-// the files with `carbonstat -spans`. Span durations also feed
-// span_*_ms histograms on /metrics/prometheus.
+// the files with `carbonstat -spans`. Span durations also feed the
+// registry's span.*_ms histograms (carbond_span_*_ms on
+// /metrics/prometheus).
 //
 // A job that fails retryably (an evaluation fault, a spool I/O error,
 // an attempt timeout) is retried from its last clean checkpoint with
@@ -32,8 +33,8 @@
 //	GET    /v1/jobs/{id}        status + live per-generation stats
 //	GET    /v1/jobs/{id}/result final result (409 until finished)
 //	DELETE /v1/jobs/{id}        cancel or delete
-//	GET    /metrics             aggregated engine metrics (also /debug/*)
-//	GET    /metrics/prometheus  the same, plus per-job series, in text exposition format
+//	GET    /metrics             aggregated engine metrics, JSON (also /debug/*)
+//	GET    /metrics/prometheus  the same registry in text exposition format
 package main
 
 import (
@@ -102,16 +103,12 @@ func main() {
 
 	// One mux serves both the job API and the telemetry endpoints, so a
 	// single port gives /v1/*, /metrics, /metrics/prometheus and
-	// /debug/*. The Prometheus endpoint renders the aggregate engine
-	// registry plus one job="<id>"-labeled series set per job, re-read on
-	// every scrape so later submissions appear without restarts.
-	// -metrics-addr additionally exposes the telemetry mux on its own
-	// listener (for firewalling the API separately from introspection).
-	reg.PublishExpvar("carbond")
-	telemetryMux := telemetry.DynamicHandler(
-		func() map[string]*telemetry.Registry { return map[string]*telemetry.Registry{"carbond": reg} },
-		mgr.MetricsTargets,
-	)
+	// /debug/*. Both metrics endpoints render the one aggregate engine
+	// registry under the "carbond" prefix; per-job progress lives on
+	// GET /v1/jobs/{id} and its event stream. -metrics-addr additionally
+	// exposes the telemetry mux on its own listener (for firewalling the
+	// API separately from introspection).
+	telemetryMux := telemetry.Handler(map[string]*telemetry.Registry{"carbond": reg})
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", serve.APIHandler(mgr))
 	mux.Handle("/", telemetryMux)

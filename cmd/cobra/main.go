@@ -34,13 +34,14 @@ func main() {
 		workers   = flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 		curves    = flag.Bool("curves", false, "print convergence curves as CSV")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar and pprof on this address while the run is live")
+		metricsAddr = flag.String("metrics-addr", "", "serve pprof and the runtime's expvar vars on this address while the run is live")
 	)
 	flag.Parse()
 
 	if *metricsAddr != "" {
 		// The COBRA baseline is not instrumented with counters, but the
-		// process-level endpoint (pprof profiles, expvar) still applies.
+		// process-level endpoint (pprof profiles, the runtime's expvar
+		// vars) still applies.
 		addr, stop, err := telemetry.Serve(*metricsAddr, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cobra:", err)

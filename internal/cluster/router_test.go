@@ -86,9 +86,7 @@ func testWorkerObs(t *testing.T, opts serve.Options) *httptest.Server {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", serve.APIHandler(m))
-	mux.Handle("/", telemetry.DynamicHandler(
-		func() map[string]*telemetry.Registry { return map[string]*telemetry.Registry{"carbond": reg} },
-		m.MetricsTargets))
+	mux.Handle("/", telemetry.Handler(map[string]*telemetry.Registry{"carbond": reg}))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(func() {
 		srv.Close()

@@ -7,7 +7,6 @@ import (
 
 	"carbon/internal/core"
 	"carbon/internal/span"
-	"carbon/internal/telemetry"
 )
 
 // State is a job's position in the lifecycle state machine:
@@ -101,7 +100,6 @@ type job struct {
 	attempts  int
 	errMsg    string
 	latest    *core.GenStats
-	metrics   *telemetry.Registry // per-job gauges (see metrics.go); nil until first run
 	gens      int
 	result    *ResultRecord
 	cancel    context.CancelCauseFunc // non-nil only while running

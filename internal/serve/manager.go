@@ -908,18 +908,11 @@ func (m *Manager) execute(ctx context.Context, j *job, att *span.Span) error {
 	if m.lpFault != nil {
 		cfg.LPFault = m.lpFault.Strike
 	}
-	j.mu.Lock()
-	if j.metrics == nil {
-		j.metrics = telemetry.NewRegistry()
-	}
-	jreg := j.metrics
-	j.mu.Unlock()
 	cfg.Observer = core.FuncObserver{Generation: func(gs core.GenStats) {
 		j.mu.Lock()
 		j.latest = &gs
 		j.gens = gs.Gen
 		j.mu.Unlock()
-		jobMetrics(jreg, gs)
 		// Fan the generation out to live subscribers. publish appends to
 		// the ring and returns — a slow or absent consumer costs the
 		// engine nothing, and no RNG is consumed on this path.

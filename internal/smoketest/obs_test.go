@@ -6,6 +6,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -100,10 +101,47 @@ func TestObs(t *testing.T) {
 			wA, *gotLP, lpA)
 	}
 
+	// The worker's text exposition renders its one registry: the
+	// aggregate engine counters, each family once, no per-job series.
+	checkPromExposition(t, wA)
+
 	// Shut down what is still running; the victim is already dead.
 	survivors := slices.DeleteFunc(slices.Clone(workers), func(w *Proc) bool { return w == victim })
 	for _, p := range append([]*Proc{router}, survivors...) {
 		p.Term()
+	}
+}
+
+// checkPromExposition scrapes p's /metrics/prometheus and fails unless
+// it carries carbond_core_generations, declares every family's TYPE
+// once and has no carbond_job_ series.
+func checkPromExposition(t *testing.T, p *Proc) {
+	t.Helper()
+	resp, err := http.Get(p.URL() + "/metrics/prometheus")
+	if err != nil {
+		t.Fatalf("GET %s/metrics/prometheus: %v", p, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/metrics/prometheus: HTTP %d, %v", p, resp.StatusCode, err)
+	}
+	text := string(body)
+	if !strings.Contains(text, "\ncarbond_core_generations ") {
+		t.Fatalf("worker %s exposition has no carbond_core_generations sample:\n%s", p, text)
+	}
+	if strings.Contains(text, "carbond_job_") {
+		t.Fatalf("worker %s exposition carries per-job series:\n%s", p, text)
+	}
+	types := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if types[name] {
+				t.Fatalf("worker %s exposition declares %s twice:\n%s", p, name, text)
+			}
+			types[name] = true
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"expvar"
-	"sync"
-)
+import "sync"
 
 // Registry is a named collection of instruments. Lookup is
 // get-or-create under a mutex (setup cost only); the instruments
@@ -93,8 +90,8 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 // Snapshot returns a point-in-time copy of every instrument, keyed by
 // name. Counters map to int64, gauges to float64, timers to a
 // {count, total_ns, mean_ns} map and histograms to HistSnapshot —
-// everything JSON-marshalable, which is what expvar and the /metrics
-// endpoint serve.
+// everything JSON-marshalable. It is what the /metrics endpoint serves
+// and what WritePrometheus renders.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	if r == nil {
@@ -119,15 +116,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// PublishExpvar exposes the registry under the given expvar name (as a
-// Func re-snapshotting on every read). Republishing an already-taken
-// name is a no-op rather than the expvar panic, so tests and repeated
-// runs in one process stay safe.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

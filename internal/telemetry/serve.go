@@ -13,21 +13,13 @@ import (
 //
 //	/metrics              JSON snapshot of every passed registry
 //	/metrics/prometheus   the same registries in Prometheus text format
-//	/debug/vars           expvar (includes registries published via PublishExpvar)
+//	/debug/vars           expvar: the runtime's memstats and cmdline
 //	/debug/pprof/         the full pprof suite (profile, heap, trace, ...)
 //
-// The pprof handlers are wired explicitly onto a private mux, so
-// importing this package never mutates http.DefaultServeMux.
+// Each registry is rendered once per format, under its map key. The
+// pprof handlers are wired explicitly onto a private mux, so importing
+// this package never mutates http.DefaultServeMux.
 func Handler(regs map[string]*Registry) http.Handler {
-	return DynamicHandler(func() map[string]*Registry { return regs }, nil)
-}
-
-// DynamicHandler is Handler with late-bound sources: snap is re-invoked
-// on every request (so the registry set can grow while serving — e.g.
-// carbond jobs appearing), and prom, when non-nil, supplies the labeled
-// targets for /metrics/prometheus. A nil prom derives unlabeled targets
-// from snap, one per registry, named by its map key.
-func DynamicHandler(snap func() map[string]*Registry, prom func() []PromTarget) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -36,7 +28,6 @@ func DynamicHandler(snap func() map[string]*Registry, prom func() []PromTarget) 
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		regs := snap()
 		out := make(map[string]map[string]any, len(regs))
 		for name, r := range regs {
 			out[name] = r.Snapshot()
@@ -47,19 +38,14 @@ func DynamicHandler(snap func() map[string]*Registry, prom func() []PromTarget) 
 		_ = enc.Encode(out)
 	})
 	mux.HandleFunc("/metrics/prometheus", func(w http.ResponseWriter, _ *http.Request) {
-		var targets []PromTarget
-		if prom != nil {
-			targets = prom()
-		} else {
-			regs := snap()
-			names := make([]string, 0, len(regs))
-			for name := range regs {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				targets = append(targets, PromTarget{Name: name, Registry: regs[name]})
-			}
+		names := make([]string, 0, len(regs))
+		for name := range regs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		targets := make([]PromTarget, len(names))
+		for i, name := range names {
+			targets[i] = PromTarget{Name: name, Registry: regs[name]}
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, targets...)
@@ -67,14 +53,10 @@ func DynamicHandler(snap func() map[string]*Registry, prom func() []PromTarget) 
 	return mux
 }
 
-// Serve starts the introspection endpoint on addr (e.g. ":8080") in a
-// background goroutine, publishing every registry to expvar under its
-// map key first. It returns the bound address (useful with ":0") and a
-// stop function.
+// Serve starts the introspection endpoint (Handler) on addr (e.g.
+// ":8080") in a background goroutine. It returns the bound address
+// (useful with ":0") and a stop function.
 func Serve(addr string, regs map[string]*Registry) (string, func() error, error) {
-	for name, r := range regs {
-		r.PublishExpvar(name)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

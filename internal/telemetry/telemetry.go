@@ -1,8 +1,10 @@
 // Package telemetry provides the observability primitives used across
 // the repository: lock-free atomic counters, gauges, timers and
 // fixed-bucket histograms, grouped into named registries, plus a
-// schema-agnostic JSONL event writer and an HTTP endpoint (expvar +
-// pprof + JSON snapshots) for live run introspection.
+// schema-agnostic JSONL event writer and an HTTP endpoint for live run
+// introspection: each registry rendered once as JSON and once in
+// Prometheus text format, next to the stdlib's expvar runtime vars and
+// pprof.
 //
 // Design rules:
 //
