@@ -103,12 +103,10 @@ type Config struct {
 
 	// ULVariation selects the upper-level variation suite: "" or "sbx"
 	// for Table II's SBX + polynomial mutation, "de" for DE/best/1/bin
-	// trials (DE-based bi-level solvers appear in the paper's related
-	// work; the ablation benchmark compares the suites).
+	// trials with weight deF and crossover rate deCR (DE-based bi-level
+	// solvers appear in the paper's related work; the ablation benchmark
+	// compares the suites).
 	ULVariation string
-	// DEF and DECR are the differential weight and crossover rate used
-	// when ULVariation is "de" (defaults 0.5 and 0.9).
-	DEF, DECR float64
 
 	// LLPointMutProb additionally applies a shape-preserving point
 	// mutation to each bred predator with this probability (0 = off,
@@ -288,6 +286,13 @@ func breedPrey(r *rng.Rand, pop [][]float64, fit []float64, bounds ga.Bounds, cf
 	return next, origins
 }
 
+// deF and deCR are the differential weight and crossover rate of the
+// DE ablation's DE/best/1/bin trials.
+const (
+	deF  = 0.5
+	deCR = 0.9
+)
+
 // breedDE is the DE ablation's prey step: the elites, then one
 // DE/best/1/bin trial per target in population order.
 func breedDE(r *rng.Rand, pop [][]float64, better func(i, j int) bool, bounds ga.Bounds, cfg Config) ([][]float64, []origin) {
@@ -297,16 +302,9 @@ func breedDE(r *rng.Rand, pop [][]float64, better func(i, j int) bool, bounds ga
 		next = append(next, append([]float64(nil), pop[e]...))
 		origins = append(origins, origin{op: opElite, p1: e, p2: -1})
 	}
-	f, cr := cfg.DEF, cfg.DECR
-	if f == 0 {
-		f = 0.5
-	}
-	if cr == 0 {
-		cr = 0.9
-	}
 	bestIdx := ga.TopK(len(pop), 1, better)[0]
 	for target := 0; len(next) < len(pop); target++ {
-		next = append(next, ga.DEBest1Bin(r, pop, bestIdx, target%len(pop), f, cr, bounds))
+		next = append(next, ga.DEBest1Bin(r, pop, bestIdx, target%len(pop), deF, deCR, bounds))
 		origins = append(origins, origin{op: opDE, p1: target % len(pop), p2: bestIdx})
 	}
 	return next, origins
