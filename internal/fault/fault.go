@@ -27,8 +27,9 @@ import (
 // Canonical site names. Production code strikes these by constant so a
 // CLI spec ("lp.solve:every=7") and the wired hook always agree.
 const (
-	// SiteLPSolve gates lp.WarmSolver.SolveWithCosts — every warm or
-	// cold LP relaxation solve of the engine's evaluation waves.
+	// SiteLPSolve gates every lp.WarmSolver solve (SolveFrom, which the
+	// engine's evaluation waves use for each LP relaxation, and
+	// SolveWithCosts) through WarmSolver.Fault, consulted in begin.
 	SiteLPSolve = "lp.solve"
 	// SiteCheckpoint gates serve.Manager's periodic and drain-time
 	// checkpoint writes. A strike leaves a torn checkpoint artifact.
