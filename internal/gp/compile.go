@@ -21,14 +21,15 @@
 // Determinism: each lane executes the same float64 operations on the
 // same operands as Tree.Eval on its own environment — Table I
 // operators are specialized to dedicated opcodes whose bodies are
-// copies of the builtin functions (same protected-division/modulo
-// epsilon and fallback, the same fmod), custom operators fall back to
-// calling the Op function itself, and intermediate NaN/±Inf values
-// propagate untouched. Sharing a node changes nothing: an operator is a
-// pure function of its operands' bits, so every reader of a node sees
-// the value its own tree would have computed. Only the value a root
-// adds to its output row collapses NaN to 0, exactly like Eval; a
-// parent reading the same node sees the raw value. Lanes never read
+// copies of the builtin functions (same protected-division epsilon and
+// fallback; modulo runs the very modLanes kernel Mod.F2 runs), custom
+// operators fall back to calling the Op function itself, and
+// intermediate NaN/±Inf values propagate untouched. Sharing a node
+// changes nothing: an operator is a pure function of its operands'
+// bits, so every reader of a node sees the value its own tree would
+// have computed. Only the value a root adds to its output row
+// collapses NaN to 0, exactly like Eval; a parent reading the same
+// node sees the raw value. Lanes never read
 // each other's values. Each row therefore receives, bit for bit, what
 // adding Tree.Eval to it would give (FuzzForestEval proves it
 // differentially against the tree walker, which is the runner's test
@@ -462,13 +463,7 @@ func binary(op opcode, ops []Op, idx uint8, d, a, b []float64) {
 			}
 		}
 	case opModP:
-		for l, av := range a {
-			if bv := b[l]; math.Abs(bv) < protEps {
-				d[l] = 1
-			} else {
-				d[l] = fmod(av, bv)
-			}
-		}
+		modLanes(d, a, b)
 	case opMin:
 		for l, av := range a {
 			d[l] = math.Min(av, b[l])

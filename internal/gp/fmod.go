@@ -5,6 +5,55 @@ import (
 	"math/bits"
 )
 
+// modLanes computes d = mod(a, b) lane by lane with the protected
+// modulo's semantics: a lane whose divisor is smaller in magnitude than
+// protEps gets 1, every other lane the exact remainder of fmod. d may
+// alias a or b: each lane's operands are read before the lane is
+// written. It is the one definition of the mod operator: the forest
+// runner calls it once per node, Mod.F2 once per lane.
+//
+// Most lanes take a fused multiply-add instead of fmod's integer loop:
+// finite x and normal y whose biased exponents satisfy ex − ey ≤ 51.
+// Then the quotient |x|/|y| is below 2^52, so its true truncation Q
+// and Q+1 are representable, and since division rounds monotonically
+// t = trunc(|x|/|y|) is Q or Q+1. Both candidate results are
+// representable: rem = |x| − Q·|y| lies in [0, |y|) and rem − |y| in
+// [−|y|, 0), and each is a multiple of ulp(|y|) (when |x| < |y|, rem is
+// |x| itself, and t = 1 only when |x|/|y| rounds up to 1, where
+// |x| − |y| is exact by Sterbenz's lemma). So the one rounding of
+// FMA(−t, |y|, |x|) is exact, and so is the correcting add of |y| when
+// t = Q+1 left it negative. The remainder is non-negative and takes the
+// sign of x, as in math.Mod. NaN, ±Inf, a zero or subnormal y and wider
+// exponent gaps keep fmod. math.FMA is correctly rounded on every
+// platform (in software where the hardware has no fused multiply-add),
+// so the lane bits do not depend on the host. The path sits in the
+// loop itself because a helper holding it is too large for Go to
+// inline.
+func modLanes(d, a, b []float64) {
+	const signMask = 1 << 63
+	d, b = d[:len(a)], b[:len(a)]
+	for l, av := range a {
+		bv := b[l]
+		if math.Abs(bv) < protEps {
+			d[l] = 1
+			continue
+		}
+		xb := math.Float64bits(av)
+		ax, ay := xb&^signMask, math.Float64bits(bv)&^signMask
+		ex, ey := ax>>52, ay>>52
+		if ex < 0x7ff && ey-1 < 0x7fe && ex <= ey+51 {
+			fx, fy := math.Float64frombits(ax), math.Float64frombits(ay)
+			r := math.FMA(-math.Trunc(fx/fy), fy, fx)
+			if r < 0 {
+				r += fy
+			}
+			d[l] = math.Float64frombits(math.Float64bits(r) | xb&signMask)
+		} else {
+			d[l] = fmod(av, bv)
+		}
+	}
+}
+
 // fmod returns the IEEE 754 floating-point remainder x - n·y, where
 // n = trunc(x/y), with the sign of x — exactly the value and bits of
 // math.Mod, including its special cases:

@@ -47,12 +47,12 @@ var (
 		return a / b
 	}}
 	// Mod is protected modulo: mod(x, 0) → 1. Otherwise it is the
-	// IEEE remainder, bit-identical to math.Mod (see fmod).
+	// IEEE remainder, bit-identical to math.Mod (see modLanes, which
+	// it runs on one lane).
 	Mod = Op{Name: "mod", Arity: 2, F2: func(a, b float64) float64 {
-		if math.Abs(b) < protEps {
-			return 1
-		}
-		return fmod(a, b)
+		d := [1]float64{a}
+		modLanes(d[:], d[:], []float64{b})
+		return d[0]
 	}}
 	// Neg and Min/Max are extension operators (not in Table I) used by
 	// the ablation benchmarks.
