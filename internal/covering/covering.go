@@ -12,9 +12,9 @@
 //   - the Instance type with feasibility/cost accounting,
 //   - the LP relaxation (lower bound LB, duals d_k, relaxed solution x̄ⱼ
 //     — the data the paper's Table I terminals and Eq. 1 gap need),
-//   - a sort-once greedy driven by an arbitrary per-item score vector
-//     (the paper's generated-heuristic shape: "a scoring function that
-//     permits to sort bundles", then add until covered),
+//   - a greedy driven by an arbitrary per-item score vector (the
+//     paper's generated-heuristic shape: "a scoring function that
+//     permits to sort bundles", then add in that order until covered),
 //   - Chvátal's adaptive ratio greedy as a classic baseline and repair
 //     completion for infeasible binary vectors (COBRA's LL needs this),
 //   - an exact branch-and-bound oracle for small instances (tests).
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Instance is one covering instance. Q is stored row-major
@@ -162,49 +161,114 @@ type GreedyResult struct {
 }
 
 // GreedyByScore runs the paper's generated-heuristic execution model:
-// items are sorted once by descending score (ties by index), then added
-// in order — skipping items that no longer contribute to any unmet
-// requirement — until every requirement is covered. When eliminate is
-// true a reverse-order redundancy pass drops items whose removal keeps
-// the selection feasible. The returned selection is freshly allocated;
-// the evaluation hot path uses GreedyByScoreInto with reused scratch.
+// items are taken in order of descending score (ties by index) —
+// skipping items that no longer contribute to any unmet requirement —
+// until every requirement is covered. A NaN score ranks after every
+// other score. When eliminate is true a reverse-order redundancy pass
+// drops items whose removal keeps the selection feasible. The returned
+// selection is freshly allocated; the evaluation hot path uses
+// GreedyByScoreInto with reused scratch.
 func (in *Instance) GreedyByScore(scores []float64, eliminate bool) GreedyResult {
 	var sc GreedyScratch
 	return in.GreedyByScoreInto(scores, eliminate, &sc)
 }
 
 // GreedyScratch holds the reusable working state of GreedyByScoreInto:
-// the sort permutation, residual-requirement and surplus vectors, the
-// selection itself and the pick order. One scratch per worker makes
+// the ranking heap of items, residual-requirement and surplus vectors,
+// the selection itself and the pick order. One scratch per worker makes
 // steady-state greedy runs allocation-free. The zero value is ready to
 // use; buffers grow to the instance size on first call.
 type GreedyScratch struct {
-	order     []int
+	ranked    itemHeap
 	resid     []float64
 	x         []bool
 	pickOrder []int
 	surplus   []float64
-	sorter    scoreSorter
 }
 
-// scoreSorter sorts an index permutation by descending score with
-// index tiebreak. The comparator is a strict total order whenever no
-// score is NaN, so the permutation — and every downstream greedy
-// decision — is independent of the sort algorithm's internals.
-type scoreSorter struct {
-	order  []int
-	scores []float64
+// itemHeap hands out item indices best first: descending score, ties
+// by ascending index. The sweep usually covers every requirement after
+// a fraction of the items, so the items are heapified once, in O(m),
+// and only those the sweep reaches are ordered, one pop each.
+//
+// Each score becomes an order-preserving integer key (rankKey), and
+// (key descending, index ascending) is a strict total order. On scores
+// without NaN it is exactly the order of descending score with index
+// tiebreak, ±0 comparing equal, so the picks are those of a full sort
+// by that comparator, whatever the sort algorithm.
+type itemHeap struct {
+	items []int32
+	keys  []uint64
 }
 
-func (s *scoreSorter) Len() int { return len(s.order) }
-func (s *scoreSorter) Less(a, b int) bool {
-	sa, sb := s.scores[s.order[a]], s.scores[s.order[b]]
-	if sa != sb {
-		return sa > sb
+// rankKey maps a score to a key whose unsigned order is the score's:
+// −0 shares +0's key, and NaN gets 0, below every other score's key
+// (−Inf's is 2^52 − 1).
+func rankKey(s float64) uint64 {
+	if s != s {
+		return 0
 	}
-	return s.order[a] < s.order[b]
+	if s == 0 {
+		s = 0 // −0 → +0
+	}
+	b := math.Float64bits(s)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
-func (s *scoreSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+// reset ranks the items of scores.
+func (h *itemHeap) reset(scores []float64) {
+	m := len(scores)
+	h.items, h.keys = grow(h.items, m), grow(h.keys, m)
+	items, keys := h.items, h.keys
+	for j, s := range scores {
+		items[j], keys[j] = int32(j), rankKey(s)
+	}
+	for i := m/2 - 1; i >= 0; i-- {
+		siftDown(items, keys, i)
+	}
+}
+
+// pop removes and returns the best-ranked item left; ok is false once
+// every item is out.
+func (h *itemHeap) pop() (j int, ok bool) {
+	items := h.items
+	last := len(items) - 1
+	if last < 0 {
+		return 0, false
+	}
+	j = int(items[0])
+	items[0] = items[last]
+	h.items = items[:last]
+	if last > 0 {
+		siftDown(h.items, h.keys, 0)
+	}
+	return j, true
+}
+
+// siftDown moves items[i] down the heap to where neither child ranks
+// before it.
+func siftDown(items []int32, keys []uint64, i int) {
+	it, k := items[i], keys[items[i]]
+	n := len(items)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		ci, ck := items[c], keys[items[c]]
+		if c+1 < n {
+			if ri, rk := items[c+1], keys[items[c+1]]; rk > ck || rk == ck && ri < ci {
+				c, ci, ck = c+1, ri, rk
+			}
+		}
+		if ck < k || ck == k && ci > it {
+			break
+		}
+		items[i] = ci
+		i = c
+	}
+	items[i] = it
+}
 
 // grow returns buf resized to n, reusing capacity.
 func grow[T any](buf []T, n int) []T {
@@ -221,14 +285,7 @@ func grow[T any](buf []T, n int) []T {
 // retain it must copy.
 func (in *Instance) GreedyByScoreInto(scores []float64, eliminate bool, sc *GreedyScratch) GreedyResult {
 	m, n := in.M(), in.N()
-	sc.order = grow(sc.order, m)
-	order := sc.order
-	for j := range order {
-		order[j] = j
-	}
-	sc.sorter.order, sc.sorter.scores = order, scores
-	sort.Sort(&sc.sorter)
-	sc.sorter.order, sc.sorter.scores = nil, nil
+	sc.ranked.reset(scores[:m])
 
 	sc.resid = grow(sc.resid, n)
 	resid := sc.resid
@@ -247,8 +304,9 @@ func (in *Instance) GreedyByScoreInto(scores []float64, eliminate bool, sc *Gree
 	cost := 0.0
 	added := 0
 	pickOrder := sc.pickOrder[:0]
-	for _, j := range order {
-		if remaining == 0 {
+	for remaining > 0 {
+		j, ok := sc.ranked.pop()
+		if !ok {
 			break
 		}
 		col := in.Cols[j]
@@ -294,16 +352,24 @@ func (in *Instance) eliminateRedundant(x []bool, pickOrder []int, cost float64) 
 // surplus buffer (len ≥ N).
 func (in *Instance) eliminateRedundantInto(x []bool, pickOrder []int, cost float64, surplus []float64) float64 {
 	n := in.N()
-	// Track per-service surplus: Σ q - b.
+	// Track per-service surplus: Σ q - b. One pass over the selection
+	// in ascending j adds each selected column, so every service's sum
+	// starts at 0 and adds its entries in ascending j, as a row scan
+	// would.
 	surplus = surplus[:n]
-	for k, row := range in.Q {
-		got := 0.0
-		for j, sel := range x {
-			if sel {
-				got += row[j]
+	for k := range surplus {
+		surplus[k] = 0
+	}
+	for j, sel := range x {
+		if sel {
+			col := in.Cols[j]
+			for k := range surplus {
+				surplus[k] += col[k]
 			}
 		}
-		surplus[k] = got - in.B[k]
+	}
+	for k, b := range in.B {
+		surplus[k] -= b
 	}
 	for i := len(pickOrder) - 1; i >= 0; i-- {
 		j := pickOrder[i]
