@@ -39,9 +39,9 @@ func main() {
 	flag.Parse()
 
 	if *metricsAddr != "" {
-		// The COBRA baseline is not instrumented with counters, but the
-		// process-level endpoint (pprof profiles, the runtime's expvar
-		// vars) still applies.
+		// The COBRA baseline is not instrumented with counters, so the
+		// endpoint serves only the process-level routes (pprof
+		// profiles, the runtime's expvar vars); /metrics answers 404.
 		addr, stop, err := telemetry.Serve(*metricsAddr, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cobra:", err)

@@ -16,9 +16,12 @@ import (
 //	/debug/vars           expvar: the runtime's memstats and cmdline
 //	/debug/pprof/         the full pprof suite (profile, heap, trace, ...)
 //
-// Each registry is rendered once per format, under its map key. The
-// pprof handlers are wired explicitly onto a private mux, so importing
-// this package never mutates http.DefaultServeMux.
+// Each registry is rendered once per format, under its map key. The two
+// metrics routes are mounted only when at least one registry is given:
+// without one they answer 404 rather than an empty body, and only the
+// process-level /debug routes are served. The pprof handlers are wired
+// explicitly onto a private mux, so importing this package never
+// mutates http.DefaultServeMux.
 func Handler(regs map[string]*Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -27,6 +30,9 @@ func Handler(regs map[string]*Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if len(regs) == 0 {
+		return mux
+	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		out := make(map[string]map[string]any, len(regs))
 		for name, r := range regs {

@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -192,6 +193,29 @@ func TestHandlerServesMetricsExpvarAndPprof(t *testing.T) {
 	}
 	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
 		t.Fatalf("/debug/pprof/ index unexpected:\n%.200s", idx)
+	}
+}
+
+// TestHandlerWithoutRegistries checks that a handler given no registry
+// mounts no metrics routes (404, not an empty body) and still serves the
+// process-level endpoints.
+func TestHandlerWithoutRegistries(t *testing.T) {
+	srv := httptest.NewServer(telemetry.Handler(nil))
+	defer srv.Close()
+	for path, want := range map[string]int{
+		"/metrics":            http.StatusNotFound,
+		"/metrics/prometheus": http.StatusNotFound,
+		"/debug/vars":         http.StatusOK,
+		"/debug/pprof/":       http.StatusOK,
+	} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 
