@@ -37,20 +37,24 @@ lint:
 test:
 	$(GO) test ./...
 
-# Cross-build for arm64, so the non-amd64 pricing kernel file and its
-# build tags cannot rot, and fail if the compiler fused any multiply-add
-# in internal/lp: a fused instruction rounds once where amd64 rounds
-# twice, so the same solve would give other bits on arm64.
+# Cross-build and vet for arm64, so the non-amd64 files (the LP's
+# portable pricing kernel, gp's Go-only lane path, the CPU probe's
+# defaults) and their build tags cannot rot, and fail if the compiler
+# fused any multiply-add in internal/lp: a fused instruction rounds once
+# where amd64 rounds twice, so the same solve would give other bits on
+# arm64.
 FUSED = FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/lp
+	GOARCH=arm64 $(GO) vet ./internal/lp ./internal/gp ./internal/cpufeat
 	GOARCH=arm64 $(GO) build ./...
 	@fused=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lp 2>&1 | grep -cE '\b($(FUSED))\b'); \
 		if [ "$$fused" != 0 ]; then echo "cross: $$fused fused multiply-add instructions in arm64 internal/lp"; exit 1; fi
 
-# The mod lane kernel (internal/gp) rounds through math.FMA, which runs
-# in software on hosts without the instruction; rerun the evaluator's
-# tests with the hardware path switched off so both give the same bits.
+# The evaluator's Go mod loop (gp.modLanes) rounds through math.FMA.
+# GODEBUG=cpu.fma=off switches math.FMA to its software routine but not
+# the CPU probe (internal/cpufeat), so the lane kernels still run: the
+# tests that force the Go loops then hold software math.FMA to the
+# hardware kernel's bits.
 # internal/core stays out: its island golden draws on math.Exp (Pow
 # calls it), whose amd64 assembly takes a fused path when the feature
 # bit is set and gives other bits without it.

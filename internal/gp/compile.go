@@ -34,6 +34,18 @@
 // adding Tree.Eval to it would give (FuzzForestEval proves it
 // differentially against the tree walker, which is the runner's test
 // oracle).
+//
+// On amd64 with AVX2 and FMA, add, sub, mul, protected division,
+// protected modulo and the root accumulate run as assembly kernels over
+// groups of four lanes (lanes_amd64.s), and the Go loops finish each
+// node's last len mod 4 lanes. Every lane of a kernel is the same
+// sequence of correctly rounded IEEE operations on the same operands as
+// the Go loop — VROUNDPD $3 is trunc, VFNMADD231PD is math.FMA's one
+// rounding — so it gives the loop's bits, NaN payloads included; a mod
+// group with a lane off modLanes' fused path runs modLanes itself. The
+// Go loops are the only path elsewhere and the kernels' test oracle
+// (TestLaneKernelsMatchGoLoops). min, max, neg and custom operators
+// stay in Go: VMINPD is not math.Min on NaN or ±0.
 package gp
 
 import (
@@ -427,20 +439,39 @@ func (vm *VM) AddRoots(f *Forest, env []Term, n int, acc []float64, stride int) 
 		if ins.row < 0 {
 			continue
 		}
-		o := acc[int(ins.row)*stride:][:len(d)]
-		for l, v := range d {
-			if v != v {
-				v = 0
-			}
-			o[l] += v
-		}
+		addRoot(acc[int(ins.row)*stride:][:len(d)], d)
 	}
 }
+
+// addRoot adds v into o lane by lane, a NaN lane adding 0.
+func addRoot(o, v []float64) {
+	if laneKernels && len(v) >= 4 {
+		k := kernelAccumulate(o, v)
+		o, v = o[k:], v[k:]
+	}
+	for l, x := range v {
+		if x != x {
+			x = 0
+		}
+		o[l] += x
+	}
+}
+
+// laneKernels picks the path binary and addRoot take: the assembly
+// kernels (lanes_amd64.s) over whole groups of four lanes, with the Go
+// loops finishing the tail, or the Go loops alone. Both give the same
+// bits. It is set once at init from the CPU probe; tests flip it to
+// compare the two.
+var laneKernels = hasLaneKernels
 
 // binary computes d = op(a, b) lane by lane. d may alias a or b: each
 // lane's operands are read before the lane is written.
 func binary(op opcode, ops []Op, idx uint8, d, a, b []float64) {
 	d, b = d[:len(a)], b[:len(a)]
+	if laneKernels && len(a) >= 4 {
+		k := kernelBinary(op, d, a, b)
+		d, a, b = d[k:], a[k:], b[k:]
+	}
 	switch op {
 	case opAdd:
 		for l, av := range a {

@@ -76,20 +76,22 @@ func laneTerms(s *Set, envs [][]float64, bcast []bool) (terms []Term, lanes [][]
 	return terms, lanes
 }
 
-// checkLanes runs p once over len(envs) lanes bound by laneTerms into a
-// zeroed row. Each lane must hold the bits rowEval gives on that lane's
-// own environment.
+// checkLanes runs p over len(envs) lanes bound by laneTerms into a
+// zeroed row, once on every evaluation path. Each lane must hold the
+// bits rowEval gives on that lane's own environment.
 func checkLanes(t *testing.T, s *Set, tr Tree, p *Program, vm *VM, envs [][]float64, bcast []bool) {
 	t.Helper()
 	terms, lanes := laneTerms(s, envs, bcast)
-	got := make([]float64, len(envs))
-	vm.AddRoots(p.Forest(), terms, len(envs), got, len(envs))
-	for i, env := range lanes {
-		want := rowEval(s, tr, env)
-		if math.Float64bits(want) != math.Float64bits(got[i]) {
-			t.Fatalf("%s, lane %d of %d on %v (broadcast %v): interpreter %v (%x), VM %v (%x)",
-				tr.String(s), i, len(envs), env, bcast,
-				want, math.Float64bits(want), got[i], math.Float64bits(got[i]))
+	for _, path := range evalPaths() {
+		got := make([]float64, len(envs))
+		onPath(path, func() { vm.AddRoots(p.Forest(), terms, len(envs), got, len(envs)) })
+		for i, env := range lanes {
+			want := rowEval(s, tr, env)
+			if math.Float64bits(want) != math.Float64bits(got[i]) {
+				t.Fatalf("%s, lane %d of %d on %v (broadcast %v, %v): interpreter %v (%x), VM %v (%x)",
+					tr.String(s), i, len(envs), env, bcast, path,
+					want, math.Float64bits(want), got[i], math.Float64bits(got[i]))
+			}
 		}
 	}
 }
@@ -248,27 +250,32 @@ func TestCompileRejectsMalformedTrees(t *testing.T) {
 }
 
 // The lane path allocates nothing once the value slots have grown, at width 1
-// and at the scorer's block width, with vector and broadcast terminals.
+// and at the scorer's block width, with vector and broadcast terminals,
+// on every evaluation path.
 func TestVMEvalZeroAlloc(t *testing.T) {
 	s := compileSet()
 	_, p := mustCompile(t, s, "(* (+ c (% q d)) (- b (mod x c)))")
-	vm := NewVM()
-	env := []float64{1, 2, 3, 4, 5}
-	evalOne(vm, p, env) // grow the slots once
-	if allocs := testing.AllocsPerRun(200, func() { evalOne(vm, p, env) }); allocs != 0 {
-		t.Fatalf("AddRoots at width 1 allocates %v per call, want 0", allocs)
-	}
-	const width = 128
-	vec := make([]float64, width)
-	for i := range vec {
-		vec[i] = float64(i) - 40.5
-	}
-	terms := []Term{{V: vec}, {V: vec}, {S: 3}, {S: -4}, {V: vec}}
-	row := make([]float64, width)
-	run := func() { vm.AddRoots(p.Forest(), terms, width, row, width) }
-	run()
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("AddRoots at width %d allocates %v per call, want 0", width, allocs)
+	for _, path := range evalPaths() {
+		onPath(path, func() {
+			vm := NewVM()
+			env := []float64{1, 2, 3, 4, 5}
+			evalOne(vm, p, env) // grow the slots once
+			if allocs := testing.AllocsPerRun(200, func() { evalOne(vm, p, env) }); allocs != 0 {
+				t.Fatalf("AddRoots at width 1 on %v allocates %v per call, want 0", path, allocs)
+			}
+			const width = 128
+			vec := make([]float64, width)
+			for i := range vec {
+				vec[i] = float64(i) - 40.5
+			}
+			terms := []Term{{V: vec}, {V: vec}, {S: 3}, {S: -4}, {V: vec}}
+			row := make([]float64, width)
+			run := func() { vm.AddRoots(p.Forest(), terms, width, row, width) }
+			run()
+			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+				t.Fatalf("AddRoots at width %d on %v allocates %v per call, want 0", width, path, allocs)
+			}
+		})
 	}
 }
 

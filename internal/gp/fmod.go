@@ -26,12 +26,16 @@ import (
 // sign of x, as in math.Mod. NaN, ±Inf, a zero or subnormal y and wider
 // exponent gaps keep fmod. math.FMA is correctly rounded on every
 // platform (in software where the hardware has no fused multiply-add),
-// so the lane bits do not depend on the host. The path sits in the
-// loop itself because a helper holding it is too large for Go to
-// inline.
+// so the lane bits do not depend on the host. On an amd64 host without
+// FMA, where that software routine is slower than fmod, modFMA is false
+// and every lane takes fmod. The path sits in the loop itself because a
+// helper holding it is too large for Go to inline. The forest runner's
+// mod kernel (lanes_amd64.s) computes the same path four lanes at a
+// time and hands each group it cannot finish to modLanes.
 func modLanes(d, a, b []float64) {
 	const signMask = 1 << 63
 	d, b = d[:len(a)], b[:len(a)]
+	fast := modFMA
 	for l, av := range a {
 		bv := b[l]
 		if math.Abs(bv) < protEps {
@@ -41,7 +45,7 @@ func modLanes(d, a, b []float64) {
 		xb := math.Float64bits(av)
 		ax, ay := xb&^signMask, math.Float64bits(bv)&^signMask
 		ex, ey := ax>>52, ay>>52
-		if ex < 0x7ff && ey-1 < 0x7fe && ex <= ey+51 {
+		if fast && ex < 0x7ff && ey-1 < 0x7fe && ex <= ey+51 {
 			fx, fy := math.Float64frombits(ax), math.Float64frombits(ay)
 			r := math.FMA(-math.Trunc(fx/fy), fy, fx)
 			if r < 0 {

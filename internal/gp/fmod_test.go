@@ -76,24 +76,30 @@ func protMod(x, y float64) float64 {
 	return math.Mod(x, y)
 }
 
-// checkModLanes runs modLanes on xs and ys three ways — into a fresh
-// slice, in place over xs's copy and in place over ys's copy — and
+// checkModLanes computes mod(xs, ys) on every evaluation path — the Go
+// loop and, where the host has them, the lane kernels, each with
+// modLanes' fused multiply-add path on and off — three ways: into a
+// fresh slice, in place over xs's copy and in place over ys's copy. It
 // checks every lane against protMod, and Mod.F2 lane by lane.
 func checkModLanes(t *testing.T, xs, ys []float64) {
 	t.Helper()
-	fresh := make([]float64, len(xs))
-	modLanes(fresh, xs, ys)
-	overA := append([]float64(nil), xs...)
-	modLanes(overA, overA, ys)
-	overB := append([]float64(nil), ys...)
-	modLanes(overB, xs, overB)
-	for l, x := range xs {
-		y := ys[l]
-		want := protMod(x, y)
-		for _, got := range []float64{fresh[l], overA[l], overB[l], Mod.F2(x, y)} {
-			if !sameMod(got, want) {
-				t.Fatalf("mod lane (%v, %v) = %v (%x), protected math.Mod = %v (%x)",
-					x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+	for _, p := range evalPaths() {
+		fresh := make([]float64, len(xs))
+		binaryOn(p, opModP, fresh, xs, ys)
+		overA := append([]float64(nil), xs...)
+		binaryOn(p, opModP, overA, overA, ys)
+		overB := append([]float64(nil), ys...)
+		binaryOn(p, opModP, overB, xs, overB)
+		for l, x := range xs {
+			y := ys[l]
+			want := protMod(x, y)
+			var f2 float64
+			onPath(p, func() { f2 = Mod.F2(x, y) })
+			for _, got := range []float64{fresh[l], overA[l], overB[l], f2} {
+				if !sameMod(got, want) {
+					t.Fatalf("mod lane (%v, %v) on %v = %v (%x), protected math.Mod = %v (%x)",
+						x, y, p, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -109,10 +115,11 @@ func fromParts(neg bool, exp, frac uint64) float64 {
 	return math.Float64frombits(b)
 }
 
-// TestModLanesMatchesProtectedMathMod pins the lane kernel, its fused
-// multiply-add path and its fmod fallback alike, to the protected
-// math.Mod on the operands where the path's exactness argument is
-// tightest: every biased exponent gap from 0 to 60 (the path ends at
+// TestModLanesMatchesProtectedMathMod pins the lane kernels, the Go
+// loop on its fused multiply-add path and with that path off (the
+// setting of an amd64 host without FMA), and the fmod fallback, to the
+// protected math.Mod on the operands where the path's exactness
+// argument is tightest: every biased exponent gap from 0 to 60 (the path ends at
 // 51), dividends a hair either side of an exact multiple k·y with k up
 // to 2^53, the specials, subnormal dividends and divisors, and
 // divisors at and around protEps.
@@ -168,9 +175,11 @@ func TestModLanesMatchesProtectedMathMod(t *testing.T) {
 	checkModLanes(t, xs, ys)
 }
 
-// FuzzMod pins fmod to math.Mod, and the lane kernel (over its fused
-// multiply-add path and the fmod fallback) to the protected math.Mod,
-// bit for bit on arbitrary operands.
+// FuzzMod pins fmod to math.Mod, and mod on every evaluation path to
+// the protected math.Mod, bit for bit on arbitrary operands. The lanes
+// make two groups of four and a tail, and the second group mixes the
+// fuzzed pair with lanes on the fused multiply-add path, so a pair the
+// kernel leaves to modLanes sends a mixed group there.
 func FuzzMod(f *testing.F) {
 	for _, x := range modSpecials {
 		for _, y := range []float64{0, math.Inf(-1), math.NaN(), 1.5, -0x1p-1030, math.SmallestNonzeroFloat64, protEps} {
@@ -182,14 +191,15 @@ func FuzzMod(f *testing.F) {
 			t.Fatalf("fmod(%v, %v) = %v (%x), math.Mod = %v (%x)",
 				x, y, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		checkModLanes(t, []float64{x, y, -x}, []float64{y, x, y})
+		checkModLanes(t, []float64{x, y, -x, x, 7.25, x, -3, -x, y},
+			[]float64{y, x, y, -y, 1.5, y, 0.75, -y, -x})
 	})
 }
 
-// BenchmarkFmod times, per operand pair, fmod alone and the lane
-// kernel over a block of lanes, on pairs like those a scoring sweep
-// feeds them: magnitudes a few binades apart, both signs, and the odd
-// subnormal remainder.
+// BenchmarkFmod times, per operand pair, fmod alone, the Go lane loop
+// (modLanes) over a block of lanes and the lane kernel over the same
+// block, on pairs like those a scoring sweep feeds them: magnitudes a
+// few binades apart, both signs, and the odd subnormal remainder.
 func BenchmarkFmod(b *testing.B) {
 	r := rng.New(3)
 	const n = 1024
@@ -208,13 +218,22 @@ func BenchmarkFmod(b *testing.B) {
 			b.Fatal("fmod returned NaN on finite operands")
 		}
 	})
-	b.Run("lanes", func(b *testing.B) {
-		d := make([]float64, n)
-		for i := 0; i < b.N; i += n {
-			modLanes(d, xs, ys)
+	lanes := func(p evalPath) func(b *testing.B) {
+		return func(b *testing.B) {
+			if p.kernels && !hasLaneKernels {
+				b.Skip("this host runs the Go loops only")
+			}
+			d := make([]float64, n)
+			onPath(p, func() {
+				for i := 0; i < b.N; i += n {
+					binary(opModP, nil, 0, d, xs, ys)
+				}
+			})
+			if math.IsNaN(d[0]) {
+				b.Fatal("mod lanes returned NaN on finite operands")
+			}
 		}
-		if math.IsNaN(d[0]) {
-			b.Fatal("modLanes returned NaN on finite operands")
-		}
-	})
+	}
+	b.Run("lanes", lanes(goLoops))
+	b.Run("kernel", lanes(evalPath{true, true}))
 }

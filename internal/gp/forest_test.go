@@ -26,20 +26,30 @@ func forestEnvs(a, b, c, d, e float64, nanAt int) [][]float64 {
 	}
 }
 
-// checkForest compiles trees into one forest and runs it once over
-// len(envs) lanes bound by laneTerms, into zeroed rows. Every tree that
-// passes Check must read back, from its row, the bits rowEval gives on
-// each lane's environment; every tree that fails Check must report
-// Check's error. It returns the forest for further assertions.
+// checkForest compiles trees into one forest and, on every evaluation
+// path, runs it once over len(envs) lanes bound by laneTerms, into
+// zeroed rows. Every tree that passes Check must read back, from its
+// row, the bits rowEval gives on each lane's environment; every tree
+// that fails Check must report Check's error. It returns the forest
+// for further assertions.
 func checkForest(t *testing.T, s *Set, trees []Tree, envs [][]float64, bcast []bool) *Forest {
 	t.Helper()
 	var f Forest
 	f.Compile(s, trees)
+	for _, p := range evalPaths() {
+		checkForestOn(t, p, s, &f, trees, envs, bcast)
+	}
+	return &f
+}
+
+// checkForestOn is one of checkForest's runs, on path p.
+func checkForestOn(t *testing.T, p evalPath, s *Set, f *Forest, trees []Tree, envs [][]float64, bcast []bool) {
+	t.Helper()
 	terms, lanes := laneTerms(s, envs, bcast)
 	n := len(envs)
 	stride := n + 3 // rows need not be packed
 	out := make([]float64, f.Rows()*stride)
-	NewVM().AddRoots(&f, terms, n, out, stride)
+	onPath(p, func() { NewVM().AddRoots(f, terms, n, out, stride) })
 	for ti, tr := range trees {
 		row, err := f.Row(ti)
 		if cerr := tr.Check(s); cerr != nil {
@@ -54,12 +64,11 @@ func checkForest(t *testing.T, s *Set, trees []Tree, envs [][]float64, bcast []b
 		for l, env := range lanes {
 			want := rowEval(s, tr, env)
 			if got := out[row*stride+l]; math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("tree %d %s, lane %d on %v (broadcast %v): interpreter %v (%x), forest %v (%x)",
-					ti, tr.String(s), l, env, bcast, want, math.Float64bits(want), got, math.Float64bits(got))
+				t.Fatalf("tree %d %s, lane %d on %v (broadcast %v, %v): interpreter %v (%x), forest %v (%x)",
+					ti, tr.String(s), l, env, bcast, p, want, math.Float64bits(want), got, math.Float64bits(got))
 			}
 		}
 	}
-	return &f
 }
 
 // subtree returns a copy of the subtree of t rooted at prefix index i.
@@ -79,7 +88,7 @@ func joinTree(op int, a, b Tree) Tree {
 // compiled into one forest, and every tree's zeroed row must hold,
 // lane for lane, the bits 0 + Tree.Eval gives. Sharing makes one tree's root
 // another tree's interior node, so a NaN collapsed for the root's row
-// must not leak into its parent.
+// must not leak into its parent. Every evaluation path runs the forest.
 func FuzzForestEval(f *testing.F) {
 	f.Add(uint64(1), 1.0, 2.0, 3.0, 4.0, 5.0)
 	f.Add(uint64(7), math.Inf(1), math.Inf(-1), 0.0, math.Copysign(0, -1), 1e-300)
@@ -115,7 +124,13 @@ func FuzzForestEval(f *testing.F) {
 		for k := range bcast {
 			bcast[k] = seed>>(59+k)&1 == 1
 		}
-		fr := checkForest(t, set, trees, forestEnvs(a, b, c, d, e, int(seed%5)), bcast)
+		// The environments forward and then backward: 14 lanes, so each
+		// one runs in a kernel group and the last two in the Go tail.
+		envs := forestEnvs(a, b, c, d, e, int(seed%5))
+		for i := len(envs) - 1; i >= 0; i-- {
+			envs = append(envs, envs[i])
+		}
+		fr := checkForest(t, set, trees, envs, bcast)
 		if fr.Rows() > len(trees) {
 			t.Fatalf("%d distinct roots for %d trees", fr.Rows(), len(trees))
 		}

@@ -1,24 +1,5 @@
 #include "textflag.h"
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv(index uint32) (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-16
-	MOVL index+0(FP), CX
-	XGETBV
-	MOVL AX, eax+8(FP)
-	MOVL DX, edx+12(FP)
-	RET
-
 // func priceAVX2(d, cost, y, a []float64)
 //
 // len(d) is a multiple of 4 and a holds len(d)/4 groups of len(y) rows
